@@ -13,11 +13,14 @@ Warm starts
 
 The protocol threads an optional :class:`WarmStart` hint — the previous
 solution (and, for basis-capable solvers, its basis) of the *same LP
-family* — into every solve.  Neither bundled backend consumes it:
-SciPy's HiGHS binding exposes no basis or starting-point input, and the
-reference simplex is a from-scratch two-phase tableau.  They accept and
-ignore the hint so future basis-capable backends slot in without
-touching call sites.  The *exact* warm-start reuse the model engine
+family* — into every solve.  Neither bundled backend consumes it.  The
+HiGHS backend drives SciPy's bundled HiGHS directly, and that binding
+does take a basis (``setBasis``/``getBasis``), but a basis-started solve
+of a degenerate LP can stop at a different optimal vertex than a cold
+one, which would change every schedule downstream; so each solve starts
+cold.  The reference simplex is a from-scratch two-phase tableau.  Both
+accept and ignore the hint so future basis-capable backends slot in
+without touching call sites.  The *exact* warm-start reuse the model engine
 performs (returning a memoized solution verbatim when the probe's LP is
 bit-identical to an already-solved one) lives one layer up, in
 :meth:`repro.engine.ModelEngine.cached_solve`, precisely because it is
@@ -32,7 +35,14 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from ..errors import ValidationError
-from ..lp.solver import LinearProgram, LPSolution, SolveBudget, _solve_once
+from ..lp import simplex
+from ..lp.solver import (
+    LinearProgram,
+    LPSolution,
+    SolveBudget,
+    _record_solve,
+    solve_highs,
+)
 from ..obs import NULL_TELEMETRY, Telemetry
 
 __all__ = [
@@ -60,7 +70,7 @@ class WarmStart:
         producing backend reported none).
     basis:
         Opaque basis information for basis-capable backends (``None``
-        for the bundled ones, which report no basis).
+        for the bundled ones, which start every solve cold).
     label:
         The telemetry label of the solve that produced the hint.
     structure:
@@ -107,7 +117,8 @@ class SolverBackend(Protocol):
 
 
 class HighsBackend:
-    """SciPy's HiGHS dual simplex / IPM — the at-scale default."""
+    """HiGHS's dual simplex, driven through SciPy's bundled binding —
+    the at-scale default."""
 
     name = "highs"
     supports_warm_start = False
@@ -121,7 +132,7 @@ class HighsBackend:
         label: str | None = None,
         budget: SolveBudget | None = None,
     ) -> LPSolution:
-        return _solve_once(problem, "highs", telemetry or NULL_TELEMETRY, label, budget)
+        return solve_highs(problem, telemetry or NULL_TELEMETRY, label, budget)
 
 
 class SimplexBackend:
@@ -139,7 +150,14 @@ class SimplexBackend:
         label: str | None = None,
         budget: SolveBudget | None = None,
     ) -> LPSolution:
-        return _solve_once(problem, "simplex", telemetry or NULL_TELEMETRY, label, budget)
+        telemetry = telemetry or NULL_TELEMETRY
+        # The pure-Python simplex has no native time limit; an overrun
+        # here is caught by the next cooperative check rather than
+        # discarding the (valid) solution it just produced.
+        with telemetry.span("lp_solve") as span:
+            solution = simplex.simplex_solve(problem)
+        _record_solve(telemetry, problem, solution, self.name, span.elapsed, label)
+        return solution
 
 
 _REGISTRY: dict[str, SolverBackend] = {}

@@ -1,8 +1,16 @@
-"""Thin, typed wrappers around SciPy's HiGHS LP solver.
+"""Thin, typed wrappers around the HiGHS LP solver bundled with SciPy.
 
-The paper used CPLEX; we substitute the HiGHS simplex/IPM bundled with
-SciPy (see DESIGN.md).  Everything downstream talks to these wrappers,
-so swapping the backend means editing this module only.
+The paper used CPLEX; we substitute HiGHS's dual simplex (see DESIGN.md),
+driven directly through SciPy's pybind binding
+``scipy.optimize._highspy._core`` rather than ``scipy.optimize.linprog``.
+The binding is the same HiGHS build ``linprog(method="highs")`` runs, so
+the answers are bitwise identical; skipping linprog's input cleaning,
+per-call option validation and result packaging roughly halves the
+wall time of a solve of the benchmark's ~200-row LPs.  :func:`solve_highs`
+keeps what linprog did that the repository relies on: its status codes,
+its post-solve feasibility check, its dual signs and its iteration
+count.  Everything downstream talks to these wrappers, so swapping the
+backend means editing this module only.
 
 Resilient solve chain
 ---------------------
@@ -50,7 +58,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:  # SciPy < 1.15 kept HiGHS behind a Cython module
+    raise ImportError(
+        "repro needs scipy>=1.15, whose HiGHS binding is "
+        "scipy.optimize._highspy._core"
+    ) from exc
 
 from ..errors import (
     BudgetExceededError,
@@ -198,9 +213,11 @@ class LPSolution:
     basis:
         Opaque basis description from basis-reporting backends, carried
         into the next :class:`~repro.engine.backend.WarmStart` of the
-        same LP family.  ``None`` for the bundled backends (SciPy's
-        HiGHS binding exposes no basis; the reference simplex reports
-        none).
+        same LP family.  ``None`` for the bundled backends: the HiGHS
+        backend starts every solve cold (the binding has ``getBasis``,
+        but a basis-started solve of a degenerate LP can end at a
+        different optimal vertex), and the reference simplex reports
+        none.
     """
 
     x: np.ndarray
@@ -624,51 +641,209 @@ def solve_lp(
     )
 
 
-def _solve_once(
+_MODEL = _highs.HighsModelStatus
+
+#: ``scipy.optimize.linprog``'s 0-4 status code for each HiGHS model
+#: status; every status not listed maps to 4 ("numerical difficulties").
+#: linprog reports a model HiGHS refuses to load as infeasible (2).
+_LINPROG_STATUS = {
+    _MODEL.kOptimal: 0,
+    _MODEL.kTimeLimit: 1,
+    _MODEL.kIterationLimit: 1,
+    _MODEL.kInfeasible: 2,
+    _MODEL.kModelError: 2,
+    _MODEL.kUnbounded: 3,
+}
+
+#: linprog's post-solve feasibility tolerance: ``sqrt(tol) * 10`` at its
+#: default ``tol = 1e-9``.
+_FEASIBILITY_TOL = np.sqrt(1e-9) * 10
+
+_EMPTY = np.empty(0)
+
+
+@dataclass(frozen=True)
+class HighsRun:
+    """What one HiGHS run reports; see :func:`run_highs`.
+
+    The solution fields are filled only when ``status`` is ``kOptimal``.
+    """
+
+    status: _highs.HighsModelStatus
+    message: str
+    x: np.ndarray | None = None
+    row_value: np.ndarray | None = None
+    row_dual: np.ndarray | None = None
+    objective: float = float("nan")
+    iterations: int = 0
+
+
+def run_highs(
+    cost: np.ndarray,
+    col_lower: np.ndarray,
+    col_upper: np.ndarray,
+    row_lower: np.ndarray,
+    row_upper: np.ndarray,
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray],
+    time_limit: float | None = None,
+) -> HighsRun:
+    """Run HiGHS once on ``min cost @ x`` subject to
+    ``row_lower <= A @ x <= row_upper`` and ``col_lower <= x <= col_upper``.
+
+    ``rows`` is ``A`` as canonical CSR ``(indptr, indices, data)``
+    arrays.  Each call uses a fresh HiGHS instance, so no basis carries
+    over between solves.  HiGHS's defaults (dual simplex, presolve on,
+    no debug checks) are linprog's settings, so only logging is turned
+    off and the optional ``time_limit`` set.  This is the module's only
+    call into HiGHS.
+    """
+    highs = _highs._Highs()
+    highs.setOptionValue("output_flag", False)
+    if time_limit is not None:
+        highs.setOptionValue("time_limit", float(time_limit))
+    indptr, indices, data = rows
+    num_col = cost.shape[0]
+    loaded = highs.passModel(
+        num_col,
+        row_lower.shape[0],
+        data.shape[0],
+        int(_highs.MatrixFormat.kRowwise),
+        int(_highs.ObjSense.kMinimize),
+        0.0,
+        cost,
+        col_lower,
+        col_upper,
+        row_lower,
+        row_upper,
+        indptr,
+        indices,
+        data,
+        np.zeros(num_col, dtype=np.int32),  # every column continuous
+    )
+    if loaded == _highs.HighsStatus.kError:
+        status = _MODEL.kModelError
+    else:
+        run_failed = highs.run() == _highs.HighsStatus.kError
+        status = highs.getModelStatus()
+        if run_failed and status == _MODEL.kOptimal:
+            status = _MODEL.kSolveError  # as linprog: no solution to read
+    message = highs.modelStatusToString(status)
+    if status != _MODEL.kOptimal:
+        return HighsRun(status, message)
+    solution = highs.getSolution()
+    info = highs.getInfo()
+    return HighsRun(
+        status,
+        message,
+        x=np.array(solution.col_value),
+        row_value=np.array(solution.row_value),
+        row_dual=np.array(solution.row_dual),
+        objective=info.objective_function_value,
+        iterations=info.simplex_iteration_count,
+    )
+
+
+def _canonical_csr(block):
+    """A constraint block as CSR with sorted, duplicate-free indices.
+
+    Dense blocks (which :class:`LinearProgram` allows) are converted,
+    dropping their zeros, exactly as linprog's own conversion did.
+    """
+    if not sp.issparse(block):
+        return sp.csr_array(np.asarray(block, dtype=float))
+    if block.format != "csr":
+        block = block.tocsr()
+    if not block.has_canonical_format:
+        block = block.copy()
+        block.sum_duplicates()
+    return block
+
+
+def _stacked_rows(problem: LinearProgram) -> tuple[np.ndarray, ...]:
+    """``[a_ub; a_eq]`` as CSR ``(indptr, indices, data)`` arrays."""
+    indptr = [np.zeros(1, dtype=np.int32)]
+    indices = [np.empty(0, dtype=np.int32)]
+    data = [_EMPTY]
+    offset = 0
+    for block in (problem.a_ub, problem.a_eq):
+        if block is None:
+            continue
+        block = _canonical_csr(block)
+        indptr.append(block.indptr[1:] + offset)
+        indices.append(block.indices)
+        data.append(block.data)
+        offset += block.nnz
+    return np.concatenate(indptr), np.concatenate(indices), np.concatenate(data)
+
+
+def _passes_linprog_check(
+    run: HighsRun,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    b_ub: np.ndarray,
+    b_eq: np.ndarray,
+) -> bool:
+    """linprog's post-solve check of an "optimal" HiGHS answer.
+
+    The point must be NaN-free, inside its bounds and every ``<=`` row,
+    and on every equality row, each to within :data:`_FEASIBILITY_TOL`.
+    """
+    tol = _FEASIBILITY_TOL
+    m_ub = b_ub.shape[0]
+    slack = b_ub - run.row_value[:m_ub]
+    residual = b_eq - run.row_value[m_ub:]
+    if np.isnan(run.objective) or np.isnan(slack).any() or np.isnan(residual).any():
+        return False
+    return bool(
+        np.all((run.x >= lo - tol) & (run.x <= hi + tol))
+        and not (slack < -tol).any()
+        and not (np.abs(residual) > tol).any()
+    )
+
+
+def solve_highs(
     problem: LinearProgram,
-    backend: str,
-    telemetry: Telemetry,
-    label: str | None,
+    telemetry: Telemetry = NULL_TELEMETRY,
+    label: str | None = None,
     budget: SolveBudget | None = None,
 ) -> LPSolution:
-    """One backend attempt; the pre-resilience ``solve_lp`` body."""
-    if backend == "simplex":
-        from .simplex import simplex_solve
+    """One HiGHS solve of ``problem``, with linprog's status mapping.
 
-        # The pure-Python simplex has no native time limit; an overrun
-        # here is caught by the next cooperative check rather than
-        # discarding the (valid) solution it just produced.
-        with telemetry.span("lp_solve") as span:
-            solution = simplex_solve(problem)
-        _record_solve(telemetry, problem, solution, backend, span.elapsed, label)
-        return solution
-    if backend != "highs":
-        raise ValidationError(
-            f"unknown backend {backend!r}; pick 'highs' or 'simplex'"
-        )
-    c = -problem.objective if problem.maximize else problem.objective
+    Infeasible and unbounded answers raise their typed errors.  HiGHS
+    stopping at the ``time_limit`` taken from ``budget`` raises
+    :class:`~repro.errors.BudgetExceededError`, which is never retried.
+    Every other non-optimal outcome, including an iteration limit and an
+    "optimal" point that fails linprog's feasibility check, raises
+    :class:`~repro.errors.SolverError` carrying linprog's 0-4 status.
+    """
+    cost = -problem.objective if problem.maximize else problem.objective
     lo, hi = problem.bounds_arrays()
-    options = (
-        {"time_limit": budget.backend_time_limit()}
-        if budget is not None
-        else None
-    )
+    b_ub = _EMPTY if problem.b_ub is None else problem.b_ub
+    b_eq = _EMPTY if problem.b_eq is None else problem.b_eq
+    time_limit = None if budget is None else budget.backend_time_limit()
     with telemetry.span("lp_solve") as span:
-        result = linprog(
-            c,
-            A_ub=problem.a_ub,
-            b_ub=problem.b_ub,
-            A_eq=problem.a_eq,
-            b_eq=problem.b_eq,
-            bounds=np.column_stack([lo, hi]),
-            method="highs",
-            options=options,
+        run = run_highs(
+            cost,
+            lo,
+            hi,
+            np.concatenate((np.full(b_ub.shape[0], -np.inf), b_eq)),
+            np.concatenate((b_ub, b_eq)),
+            _stacked_rows(problem),
+            time_limit,
         )
-    if result.status == 2:
+    status = _LINPROG_STATUS.get(run.status, 4)
+    message = f"LP solve failed: {run.message}"
+    if status == 0 and not _passes_linprog_check(run, lo, hi, b_ub, b_eq):
+        status = 4
+        message = (
+            "LP solve failed: HiGHS reported an optimum that violates its "
+            f"bounds or rows by more than {_FEASIBILITY_TOL:.2e}"
+        )
+    if status == 2:
         raise InfeasibleProblemError()
-    if result.status == 3:
+    if status == 3:
         raise UnboundedProblemError()
-    if result.status == 1 and budget is not None:
+    if run.status == _MODEL.kTimeLimit and budget is not None:
         # HiGHS hit the time_limit we set from the budget: report it as
         # a budget outcome, not a solver failure, so it is never retried.
         raise BudgetExceededError(
@@ -676,38 +851,31 @@ def _solve_once(
             where=label or "lp_solve",
             wall_time_s=budget.wall_time_s,
         )
-    if result.status != 0 or not result.success:
-        raise SolverError(
-            f"LP solve failed: {result.message}", status=result.status
-        )
-    objective = float(result.fun)
+    if status != 0:
+        raise SolverError(message, status=status)
+    objective = float(run.objective)
     if problem.maximize:
         objective = -objective
-    x = np.asarray(result.x, dtype=float)
+    x = run.x
     # HiGHS round-off can land just outside the box on either side (tiny
     # negatives on >=0 variables, hairs above an upper bound); clamp both
     # so downstream capacity checks never see out-of-bound values.
     np.maximum(x, lo, out=x)
     np.minimum(x, hi, out=x)
 
-    # linprog's marginals are d(min)/d(rhs) of the solved minimization
+    # HiGHS's row duals are d(min)/d(rhs) of the solved minimization
     # form; relaxing an upper bound can only lower the minimum, so they
     # are non-positive on binding <= rows.  The *improvement* of the
-    # stated objective per unit of rhs is -marginal in both senses
-    # (for maximization the solved objective was negated, flipping the
+    # stated objective per unit of rhs is -dual in both senses (for
+    # maximization the solved objective was negated, flipping the
     # derivative once more).
-    def _duals(block) -> np.ndarray | None:
-        marginals = getattr(block, "marginals", None) if block is not None else None
-        if marginals is None:
-            return None
-        return -np.asarray(marginals, dtype=float)
-
+    duals = -run.row_dual
     solution = LPSolution(
         x=x,
         objective=objective,
-        iterations=int(result.nit),
-        ineq_duals=_duals(getattr(result, "ineqlin", None)),
-        eq_duals=_duals(getattr(result, "eqlin", None)),
+        iterations=int(run.iterations),
+        ineq_duals=duals[: b_ub.shape[0]],
+        eq_duals=duals[b_ub.shape[0]:],
     )
-    _record_solve(telemetry, problem, solution, backend, span.elapsed, label)
+    _record_solve(telemetry, problem, solution, "highs", span.elapsed, label)
     return solution

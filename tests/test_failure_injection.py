@@ -10,14 +10,19 @@ or silent corruption.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize._highspy._core import HighsModelStatus
 
+import repro.lp.solver as solver_module
 from repro import (
+    BudgetExceededError,
     Job,
     JobSet,
     LinearProgram,
     ProblemStructure,
     ScheduleError,
     Simulation,
+    SolveBudget,
+    SolveResilience,
     SolverError,
     TimeGrid,
     ValidationError,
@@ -28,16 +33,9 @@ from repro import (
 from repro.network import topologies
 
 
-class _FakeResult:
-    """Stand-in for scipy's OptimizeResult with a chosen status."""
-
-    def __init__(self, status, message="injected failure"):
-        self.status = status
-        self.success = status == 0
-        self.message = message
-        self.x = None
-        self.fun = None
-        self.nit = 0
+def _fake_run(status, message="injected failure"):
+    """Stand-in for ``repro.lp.solver.run_highs`` ending in ``status``."""
+    return lambda *a, **k: solver_module.HighsRun(status, message)
 
 
 class TestSolverFailurePaths:
@@ -50,10 +48,8 @@ class TestSolverFailurePaths:
         )
 
     def test_unexpected_status_becomes_solver_error(self, lp, monkeypatch):
-        import repro.lp.solver as solver_module
-
         monkeypatch.setattr(
-            solver_module, "linprog", lambda *a, **k: _FakeResult(4)
+            solver_module, "run_highs", _fake_run(HighsModelStatus.kSolveError)
         )
         with pytest.raises(SolverError) as exc:
             solve_lp(lp)
@@ -61,20 +57,61 @@ class TestSolverFailurePaths:
         assert "injected" in str(exc.value)
 
     def test_iteration_limit_status(self, lp, monkeypatch):
-        import repro.lp.solver as solver_module
-
         monkeypatch.setattr(
-            solver_module, "linprog", lambda *a, **k: _FakeResult(1)
+            solver_module,
+            "run_highs",
+            _fake_run(HighsModelStatus.kIterationLimit),
         )
         with pytest.raises(SolverError):
             solve_lp(lp)
 
-    def test_stage1_propagates_solver_error(self, line3, line3_jobs, monkeypatch):
-        import repro.lp.solver as solver_module
+    def test_time_limit_under_budget_is_budget_exceeded(self, lp, monkeypatch):
+        calls = []
 
+        def timed_out(*args, **kwargs):
+            calls.append(args[-1])
+            return solver_module.HighsRun(HighsModelStatus.kTimeLimit, "")
+
+        monkeypatch.setattr(solver_module, "run_highs", timed_out)
+        with pytest.raises(BudgetExceededError):
+            solve_lp(
+                lp,
+                budget=SolveBudget(60.0),
+                resilience=SolveResilience(max_retries=3),
+            )
+        assert len(calls) == 1  # a budget outcome is never retried
+        assert 0 < calls[0] <= 60.0  # the budget reached HiGHS as time_limit
+
+    def test_iteration_limit_under_budget_stays_retriable(self, lp, monkeypatch):
+        real = solver_module.run_highs
+        calls = []
+
+        def capped_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                return solver_module.HighsRun(
+                    HighsModelStatus.kIterationLimit, ""
+                )
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "run_highs", capped_once)
+        with pytest.raises(SolverError) as exc:
+            solve_lp(lp, budget=SolveBudget(60.0))
+        assert not isinstance(exc.value, BudgetExceededError)
+        assert exc.value.status == 1
+        calls.clear()
+        solution = solve_lp(
+            lp,
+            budget=SolveBudget(60.0),
+            resilience=SolveResilience(max_retries=1, fallback_backend=None),
+        )
+        assert len(calls) == 2
+        assert solution.objective == pytest.approx(0.0)
+
+    def test_stage1_propagates_solver_error(self, line3, line3_jobs, monkeypatch):
         s = ProblemStructure(line3, line3_jobs, TimeGrid.uniform(4))
         monkeypatch.setattr(
-            solver_module, "linprog", lambda *a, **k: _FakeResult(4)
+            solver_module, "run_highs", _fake_run(HighsModelStatus.kSolveError)
         )
         with pytest.raises(SolverError):
             solve_stage1(s)

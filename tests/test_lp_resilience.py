@@ -1,8 +1,8 @@
 """The resilient solve chain in repro.lp.solver.
 
 These tests drive the retry / perturbation / backend-fallback machinery
-by monkeypatching ``scipy.optimize.linprog`` (via the reference the
-solver module holds) to fail in controlled ways, mirroring the style of
+by monkeypatching :func:`repro.lp.solver.run_highs`, the solver module's
+one call into HiGHS, to fail in controlled ways, mirroring the style of
 ``test_failure_injection.py``.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy._core import HighsModelStatus
 
 import repro.lp.solver as solver_mod
 from repro import (
@@ -37,23 +38,20 @@ def tiny_lp() -> LinearProgram:
     )
 
 
-class _FlakyLinprog:
-    """Delegates to the real linprog after ``failures`` bad statuses."""
+class _FlakyHighs:
+    """Delegates to the real HiGHS run after ``failures`` solve errors."""
 
     def __init__(self, failures: int):
         self.failures = failures
         self.calls = 0
-        self.real = solver_mod.linprog
+        self.real = solver_mod.run_highs
 
     def __call__(self, *args, **kwargs):
         self.calls += 1
         if self.calls <= self.failures:
-            class _Bad:
-                status = 4
-                success = False
-                message = "simulated numerical failure"
-
-            return _Bad()
+            return solver_mod.HighsRun(
+                HighsModelStatus.kSolveError, "simulated numerical failure"
+            )
         return self.real(*args, **kwargs)
 
 
@@ -75,15 +73,15 @@ class TestSolveResilienceValidation:
 
 class TestRetryChain:
     def test_none_resilience_fails_on_first_error(self, monkeypatch):
-        flaky = _FlakyLinprog(failures=1)
-        monkeypatch.setattr(solver_mod, "linprog", flaky)
+        flaky = _FlakyHighs(failures=1)
+        monkeypatch.setattr(solver_mod, "run_highs", flaky)
         with pytest.raises(SolverError):
             solve_lp(tiny_lp())  # resilience=None: single shot
         assert flaky.calls == 1
 
     def test_retry_recovers_after_transient_failure(self, monkeypatch):
-        flaky = _FlakyLinprog(failures=2)
-        monkeypatch.setattr(solver_mod, "linprog", flaky)
+        flaky = _FlakyHighs(failures=2)
+        monkeypatch.setattr(solver_mod, "run_highs", flaky)
         solution = solve_lp(
             tiny_lp(), resilience=SolveResilience(max_retries=2)
         )
@@ -91,8 +89,8 @@ class TestRetryChain:
         assert solution.objective == pytest.approx(3.0, abs=1e-6)
 
     def test_perturbation_moves_optimum_by_noise_only(self, monkeypatch):
-        flaky = _FlakyLinprog(failures=1)
-        monkeypatch.setattr(solver_mod, "linprog", flaky)
+        flaky = _FlakyHighs(failures=1)
+        monkeypatch.setattr(solver_mod, "run_highs", flaky)
         solution = solve_lp(
             tiny_lp(),
             resilience=SolveResilience(
@@ -104,13 +102,13 @@ class TestRetryChain:
 
     def test_infeasible_is_never_retried(self, monkeypatch):
         calls = {"n": 0}
-        real = solver_mod.linprog
+        real = solver_mod.run_highs
 
         def counting(*args, **kwargs):
             calls["n"] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(solver_mod, "linprog", counting)
+        monkeypatch.setattr(solver_mod, "run_highs", counting)
         import scipy.sparse as sp
 
         infeasible = LinearProgram(
@@ -123,8 +121,8 @@ class TestRetryChain:
         assert calls["n"] == 1
 
     def test_fallback_to_simplex_rescues_small_instance(self, monkeypatch):
-        flaky = _FlakyLinprog(failures=99)  # highs never succeeds
-        monkeypatch.setattr(solver_mod, "linprog", flaky)
+        flaky = _FlakyHighs(failures=99)  # highs never succeeds
+        monkeypatch.setattr(solver_mod, "run_highs", flaky)
         solution = solve_lp(
             tiny_lp(),
             resilience=SolveResilience(max_retries=1, fallback_backend="simplex"),
@@ -133,8 +131,8 @@ class TestRetryChain:
         assert solution.objective == pytest.approx(3.0, abs=1e-6)
 
     def test_fallback_skipped_for_large_instances(self, monkeypatch):
-        flaky = _FlakyLinprog(failures=99)
-        monkeypatch.setattr(solver_mod, "linprog", flaky)
+        flaky = _FlakyHighs(failures=99)
+        monkeypatch.setattr(solver_mod, "run_highs", flaky)
         with pytest.raises(SolverError) as info:
             solve_lp(
                 tiny_lp(),
@@ -145,8 +143,8 @@ class TestRetryChain:
         assert info.value.backends_tried == ("highs",)
 
     def test_exhausted_chain_carries_context(self, monkeypatch):
-        flaky = _FlakyLinprog(failures=99)
-        monkeypatch.setattr(solver_mod, "linprog", flaky)
+        flaky = _FlakyHighs(failures=99)
+        monkeypatch.setattr(solver_mod, "run_highs", flaky)
 
         def broken_simplex(problem):
             raise SolverError("simplex also down", status=7)
@@ -170,8 +168,8 @@ class TestRetryChain:
 
 class TestRetryTelemetry:
     def test_retries_and_fallbacks_are_counted(self, monkeypatch):
-        flaky = _FlakyLinprog(failures=99)
-        monkeypatch.setattr(solver_mod, "linprog", flaky)
+        flaky = _FlakyHighs(failures=99)
+        monkeypatch.setattr(solver_mod, "run_highs", flaky)
         telemetry = Telemetry()
         solve_lp(
             tiny_lp(),
