@@ -112,7 +112,7 @@ _EPOCH_COUNTERS = (
     "structure_cache_hits",
     "structure_patch_hits",
     "cold_builds",
-    "warm_starts",
+    "memo_hits",
     "ret_witness_hits",
 )
 
@@ -180,7 +180,7 @@ def _case_ret_probe_loop():
             "b_final": round(float(warm.b_final), 9),
             "delta_steps": int(warm.delta_steps),
             "ret_probes": int(counters.get("ret_probes", 0)),
-            "warm_starts": int(counters.get("warm_starts", 0)),
+            "memo_hits": int(counters.get("memo_hits", 0)),
             "engine_solves": int(counters.get("engine_solves", 0)),
             "layout_fragment_hits": int(
                 counters.get("layout_fragment_hits", 0)
@@ -250,7 +250,7 @@ def _simulate_case(network, jobs):
                 counters.get("structure_patch_hits", 0)
             ),
             "cold_builds": int(counters.get("cold_builds", 0)),
-            "warm_starts": int(counters.get("warm_starts", 0)),
+            "memo_hits": int(counters.get("memo_hits", 0)),
             "ret_witness_skips": int(counters.get("ret_witness_skips", 0)),
             "engine_memo_bypass": int(counters.get("engine_memo_bypass", 0)),
             "path_cache_hits": int(counters.get("path_cache_hits", 0)),

@@ -64,7 +64,6 @@ from .engine import (
     SolverBackend,
     TopologyLayer,
     LayoutLayer,
-    WarmStart,
     available_backends,
     build_structure,
     get_backend,
@@ -129,11 +128,8 @@ from .lp import (
 )
 from .obs import NULL_TELEMETRY, NullTelemetry, Telemetry
 from .parallel import (
-    Shard,
-    ShardedScheduler,
     TaskResult,
     TaskSpec,
-    partition_structure,
     register_task,
     run_fleet,
 )
@@ -246,7 +242,6 @@ __all__ = [
     "TopologyLayer",
     "LayoutLayer",
     "SolverBackend",
-    "WarmStart",
     "HighsBackend",
     "SimplexBackend",
     "register_backend",
@@ -314,14 +309,11 @@ __all__ = [
     "Reservation",
     "ServiceStats",
     "ClosedLoopDriver",
-    # parallel execution: fleet mode and decomposed solves
+    # parallel execution: the process fleet
     "TaskSpec",
     "TaskResult",
     "register_task",
     "run_fleet",
-    "Shard",
-    "partition_structure",
-    "ShardedScheduler",
     # verification
     "Violation",
     "VerificationReport",

@@ -71,7 +71,6 @@ class FaultyBackend:
     def __init__(self, inner, faults: tuple[BackendFault, ...] = ()) -> None:
         self.inner = inner
         self.name = inner.name
-        self.supports_warm_start = inner.supports_warm_start
         self._modes = {int(f.call): f.mode for f in faults}
         #: Total solve calls routed through this wrapper.
         self.calls = 0
@@ -82,7 +81,6 @@ class FaultyBackend:
         self,
         problem,
         *,
-        warm_start=None,
         telemetry=None,
         label=None,
         budget=None,
@@ -104,7 +102,6 @@ class FaultyBackend:
             )
         solution = self.inner.solve(
             problem,
-            warm_start=warm_start,
             telemetry=telemetry,
             label=label,
             budget=budget,

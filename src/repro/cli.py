@@ -115,14 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print job and link Gantt charts")
     sched.add_argument("--profile", action="store_true",
                        help="print the solve-telemetry tables after the run")
-    sched.add_argument("--sharded", action="store_true",
-                       help="solve via repro.parallel's decomposed path: "
-                       "partition into independent shards, solve each "
-                       "through the backend registry, merge the grants "
-                       "(see docs/parallel.md)")
-    sched.add_argument("--workers", type=int, default=1,
-                       help="worker processes for --sharded shard solves "
-                       "(1 = sequential in-process)")
     sched.add_argument("-o", "--output", default=None,
                        help="write the grant list as JSON")
 
@@ -181,11 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="disable the model engine's cross-epoch reuse "
                      "(identical records and events, slower; "
                      "see docs/architecture.md)")
-    sim.add_argument("--planner", choices=["monolithic", "sharded"],
-                     default="monolithic",
-                     help="per-epoch scheduler: 'sharded' partitions each "
-                     "epoch's instance into independent shards and merges "
-                     "the grants (see docs/parallel.md)")
     sim.add_argument("--control-policy", default=None, metavar="NAME",
                      help="attach an epoch-control policy (fixed, bandit, "
                      "load-reactive) that picks per-epoch knobs — alpha "
@@ -478,25 +465,13 @@ def _cmd_schedule(args) -> int:
     net = network_from_dict(load_json(args.network))
     jobs = _load_jobs(args.jobs)
     telemetry = _profile_telemetry(args)
-    if args.sharded:
-        from .parallel.sharded import ShardedScheduler
-
-        scheduler = ShardedScheduler(
-            net,
-            k_paths=args.k_paths,
-            alpha=args.alpha,
-            slice_length=args.slice_length,
-            telemetry=telemetry,
-            workers=args.workers,
-        )
-    else:
-        scheduler = Scheduler(
-            net,
-            k_paths=args.k_paths,
-            alpha=args.alpha,
-            slice_length=args.slice_length,
-            telemetry=telemetry,
-        )
+    scheduler = Scheduler(
+        net,
+        k_paths=args.k_paths,
+        alpha=args.alpha,
+        slice_length=args.slice_length,
+        telemetry=telemetry,
+    )
     result = scheduler.schedule(jobs)
 
     table = Table(["metric", "value"], title="schedule summary")
@@ -660,7 +635,6 @@ def _cmd_simulate(args) -> int:
         journal=args.journal,
         solve_budget=solve_budget,
         warm_start=not args.no_warm_start,
-        planner=args.planner,
         control_policy=control_policy,
     )
     result = sim.run(jobs, horizon=args.horizon)

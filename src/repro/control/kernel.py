@@ -81,7 +81,7 @@ CACHE_COUNTERS = (
     "structure_cache_hits",
     "structure_patch_hits",
     "cold_builds",
-    "warm_starts",
+    "memo_hits",
     "ret_witness_hits",
 )
 
@@ -336,7 +336,6 @@ def simulation_journal_header(
     verify_epochs: bool,
     verify_solutions: bool,
     warm_start: bool,
-    planner: str,
     solve_budget,
     resilience,
     fault_schedule,
@@ -364,7 +363,9 @@ def simulation_journal_header(
             "verify_epochs": verify_epochs,
             "verify_solutions": verify_solutions,
             "warm_start": warm_start,
-            "planner": planner,
+            # Always the one per-epoch planner; kept so existing
+            # journals and their resume digests stay byte-identical.
+            "planner": "monolithic",
             **solver_config_dict(solve_budget, resilience),
         },
         "faults": (

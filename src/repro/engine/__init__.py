@@ -1,4 +1,4 @@
-"""Layered model engine: incremental structure rebuilds and warm solves.
+"""Layered model engine: incremental structure rebuilds and memoized solves.
 
 See :mod:`repro.engine.engine` for the layer split (topology / layout /
 solve), :mod:`repro.engine.backend` for the solver-backend registry and
@@ -11,12 +11,11 @@ from .backend import (
     HighsBackend,
     SimplexBackend,
     SolverBackend,
-    WarmStart,
     available_backends,
     get_backend,
     register_backend,
 )
-from .delta import CarriedPlan, map_warm_start, patch_structure
+from .delta import CarriedPlan, patch_structure
 from .engine import ModelEngine, build_structure
 from .layout import FragmentCache, LayoutLayer
 from .topology import TopologyLayer
@@ -29,9 +28,7 @@ __all__ = [
     "FragmentCache",
     "CarriedPlan",
     "patch_structure",
-    "map_warm_start",
     "SolverBackend",
-    "WarmStart",
     "HighsBackend",
     "SimplexBackend",
     "register_backend",

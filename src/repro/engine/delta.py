@@ -3,7 +3,7 @@
 The layout layer's exact-signature cache never hits across simulator
 epochs: epoch ``N+1``'s instance differs from epoch ``N``'s in departed
 jobs, shifted windows and shrunk residual sizes, so every epoch paid a
-cold build and a cold solve.  This module closes that gap with three
+cold build and a cold solve.  This module closes that gap with two
 delta-aware mechanisms, all of which preserve the engine's core
 invariant — warm results are bit-identical to cold ones:
 
@@ -26,12 +26,6 @@ invariant — warm results are bit-identical to cold ones:
   greedy repair over residual capacity.  A certificate lets RET skip
   the expensive ``b_max`` bounds probe entirely; a failed certificate
   costs nothing but the check, and the probe solves as before.
-* :func:`map_warm_start` — re-index a :class:`~repro.engine.backend.WarmStart`
-  (primal point, duals) from its source structure onto a patched one:
-  columns match by ``(job id, path, absolute slice time)``, capacity
-  rows by ``(edge, absolute slice time)``, job rows by job id, and
-  entries with no counterpart are neutral zeros.  Only backends with
-  ``supports_warm_start`` ever receive a mapped hint.
 """
 
 from __future__ import annotations
@@ -47,9 +41,8 @@ from ..network.paths import Path
 from ..obs import NULL_TELEMETRY, Telemetry
 from ..timegrid import TimeGrid
 from ..workload.jobs import JobSet
-from .backend import WarmStart
 
-__all__ = ["CarriedPlan", "patch_structure", "map_warm_start"]
+__all__ = ["CarriedPlan", "patch_structure"]
 
 Node = Hashable
 
@@ -456,100 +449,3 @@ def _finalize(structure: ProblemStructure) -> None:
         structure.cap_rhs,
     ):
         arr.setflags(write=False)
-
-
-# ----------------------------------------------------------------------
-# Warm-start mapping
-# ----------------------------------------------------------------------
-def _column_identity(structure: ProblemStructure, c: int) -> tuple:
-    i = int(structure.col_job[c])
-    return (
-        structure.jobs[i].id,
-        tuple(structure.paths[i][int(structure.col_path[c])].edge_ids),
-        round(float(structure.grid.slice_start(int(structure.col_slice[c]))), 9),
-    )
-
-
-def _cap_row_identity(structure: ProblemStructure, r: int) -> tuple:
-    return (
-        int(structure.cap_row_edge[r]),
-        round(float(structure.grid.slice_start(int(structure.cap_row_slice[r]))), 9),
-    )
-
-
-def _map_block(source_ids: list, target_ids: list, values: np.ndarray) -> np.ndarray:
-    """Re-index ``values`` from source to target identities; zeros fill."""
-    lookup = {}
-    for idx, ident in enumerate(source_ids):
-        lookup.setdefault(ident, idx)
-    out = np.zeros(len(target_ids))
-    for idx, ident in enumerate(target_ids):
-        src = lookup.get(ident)
-        if src is not None:
-            out[idx] = values[src]
-    return out
-
-
-def _map_row_duals(
-    duals: np.ndarray | None,
-    src: ProblemStructure,
-    dst: ProblemStructure,
-) -> np.ndarray | None:
-    """Map a dual vector across structures, by row identity.
-
-    Handles the three row layouts the engine's LP families use: capacity
-    rows only (stage 1's a_ub), capacity rows + per-job floors (stage 2
-    and SUB-RET), and per-job rows only (stage 1's a_eq).  Unknown
-    layouts map to ``None`` — a dropped hint, never a wrong one.
-    """
-    if duals is None:
-        return None
-    duals = np.asarray(duals, dtype=float)
-    src_cap = int(src.capacity_matrix.shape[0])
-    dst_cap = int(dst.capacity_matrix.shape[0])
-    src_cap_ids = [_cap_row_identity(src, r) for r in range(src_cap)]
-    dst_cap_ids = [_cap_row_identity(dst, r) for r in range(dst_cap)]
-    src_job_ids = [job.id for job in src.jobs]
-    dst_job_ids = [job.id for job in dst.jobs]
-    if duals.shape[0] == src_cap:
-        return _map_block(src_cap_ids, dst_cap_ids, duals)
-    if duals.shape[0] == src_cap + len(src.jobs):
-        cap_part = _map_block(src_cap_ids, dst_cap_ids, duals[:src_cap])
-        job_part = _map_block(src_job_ids, dst_job_ids, duals[src_cap:])
-        return np.concatenate([cap_part, job_part])
-    if duals.shape[0] == len(src.jobs):
-        return _map_block(src_job_ids, dst_job_ids, duals)
-    return None
-
-
-def map_warm_start(hint: WarmStart, structure: ProblemStructure) -> WarmStart:
-    """Re-index ``hint`` onto ``structure``'s column/row spaces.
-
-    Columns carry over by ``(job id, path, absolute slice time)``; new
-    columns start at the neutral 0.0.  Trailing auxiliary variables
-    (e.g. stage 1's ``Z`` column) are preserved positionally.  Dual
-    blocks map by row identity via :func:`_map_row_duals`.  The basis is
-    never mapped — a permuted basis is worse than none — so it is
-    dropped whenever the structure actually changed.
-    """
-    src = hint.structure
-    if src is None or src is structure:
-        return hint
-    x = np.asarray(hint.x, dtype=float)
-    extra = x.shape[0] - src.num_cols
-    if extra < 0:
-        return hint  # not a hint over src's column space; pass through
-    src_ids = [_column_identity(src, c) for c in range(src.num_cols)]
-    dst_ids = [_column_identity(structure, c) for c in range(structure.num_cols)]
-    mapped = np.zeros(structure.num_cols + extra)
-    mapped[: structure.num_cols] = _map_block(src_ids, dst_ids, x[: src.num_cols])
-    if extra:
-        mapped[structure.num_cols :] = x[src.num_cols :]
-    return WarmStart(
-        x=mapped,
-        ineq_duals=_map_row_duals(hint.ineq_duals, src, structure),
-        eq_duals=_map_row_duals(hint.eq_duals, src, structure),
-        basis=None,
-        label=hint.label,
-        structure=structure,
-    )

@@ -13,7 +13,8 @@ what is invariant from what changes:
    incremental rebuild entry points.
 3. **Solve layer** — the backend registry
    (:mod:`repro.engine.backend`) plus :meth:`cached_solve`'s exact
-   warm-start memo over engine-built structures.
+   solution memo over engine-built structures.  Every LP that misses
+   the memo is solved cold: no basis or dual hint is passed on.
 
 Warm-start semantics
 --------------------
@@ -49,8 +50,8 @@ from ..network.paths import Path
 from ..obs import NULL_TELEMETRY, Telemetry
 from ..timegrid import TimeGrid
 from ..workload.jobs import JobSet
-from .backend import WarmStart, get_backend
-from .delta import CarriedPlan, map_warm_start
+from .backend import get_backend
+from .delta import CarriedPlan
 from .layout import LayoutLayer
 from .topology import TopologyLayer
 
@@ -64,7 +65,7 @@ _INFEASIBLE = object()
 
 
 class ModelEngine:
-    """Layered structure factory with warm-started, memoized solves.
+    """Layered structure factory with memoized solves.
 
     Parameters
     ----------
@@ -75,15 +76,15 @@ class ModelEngine:
         Paths resolved per OD pair at the topology layer.
     telemetry:
         Optional collector shared by all three layers (counters:
-        ``structure_cache_hits``, ``cold_builds``, ``warm_starts``,
+        ``structure_cache_hits``, ``cold_builds``, ``memo_hits``,
         ``engine_solves``, ``path_cache_hits`` / ``_misses``,
         ``layout_fragment_hits`` / ``_builds``).
     backend:
         Registered backend name used by :meth:`cached_solve`.
     warm_start:
-        Enables the solve-layer memo and the :class:`WarmStart` hint
-        threading.  Off, every solve runs from scratch (results are
-        identical either way; see the module docstring).
+        Enables the solve-layer memo and the carried plan.  Off, every
+        solve runs from scratch (results are identical either way; see
+        the module docstring).
     cache_structures, cache_fragments, max_cached_structures,
     max_cached_fragments:
         Layout-layer reuse knobs (see
@@ -112,7 +113,7 @@ class ModelEngine:
         max_cached_solutions: int = 256,
         resilience: SolveResilience | None = None,
     ) -> None:
-        self._backend_obj = get_backend(backend)  # fail fast on unknown names
+        get_backend(backend)  # fail fast on unknown names
         self.backend = backend
         self.warm_start = bool(warm_start)
         self.resilience = resilience
@@ -132,7 +133,6 @@ class ModelEngine:
             )
         self.max_cached_solutions = int(max_cached_solutions)
         self._solutions: OrderedDict[tuple, object] = OrderedDict()
-        self._last_hint: dict[str, WarmStart] = {}
         self._carried: CarriedPlan | None = None
 
     @classmethod
@@ -248,33 +248,6 @@ class ModelEngine:
             structure.jobs, grid, path_sets=path_sets, capacity_profile=profile
         )
 
-    def substructure(
-        self, structure: ProblemStructure, job_indices
-    ) -> ProblemStructure:
-        """The structure restricted to ``job_indices`` of ``structure``.
-
-        The shard builder of :mod:`repro.parallel.sharded`: the child
-        keeps the parent's grid, capacity profile and already-resolved
-        per-job path lists, so its column blocks are bit-identical to
-        the parent's (only the offsets shift) and the layout layer can
-        cache it across repeated solves (alpha escalations, RET
-        probes).
-        """
-        indices = list(job_indices)
-        if not indices:
-            raise ValidationError("substructure needs at least one job index")
-        jobs = JobSet([structure.jobs[i] for i in indices])
-        path_sets: dict[tuple[Node, Node], Sequence[Path]] = {}
-        for i in indices:
-            job = structure.jobs[i]
-            path_sets.setdefault((job.source, job.dest), structure.paths[i])
-        return self.structure(
-            jobs,
-            structure.grid,
-            path_sets=path_sets,
-            capacity_profile=structure.capacity_profile,
-        )
-
     # ------------------------------------------------------------------
     # Cross-epoch carried state
     # ------------------------------------------------------------------
@@ -354,14 +327,10 @@ class ModelEngine:
         structure's exact layout signature plus ``kind``, so a hit means
         the LP is bit-identical to one already solved — the cached
         solution (or memoized infeasibility) *is* the answer, counted as
-        a ``warm_starts`` telemetry hit.  Structures built outside this
+        a ``memo_hits`` telemetry hit.  Structures built outside this
         engine, and calls with ``cache=False`` (e.g. a caller-supplied
-        objective the key cannot see), always solve.
-
-        The previous solution of the same ``kind`` is threaded to the
-        backend as a :class:`WarmStart` hint; the bundled backends
-        ignore it, so this changes nothing until a basis-capable backend
-        is registered.
+        objective the key cannot see), always solve, and every solve
+        starts cold.
         """
         telemetry = telemetry or self.telemetry
         key = None
@@ -372,7 +341,7 @@ class ModelEngine:
                 hit = self._solutions.get(key)
                 if hit is not None:
                     self._solutions.move_to_end(key)
-                    telemetry.count("warm_starts")
+                    telemetry.count("memo_hits")
                     if hit is _INFEASIBLE:
                         raise InfeasibleProblemError()
                     return hit
@@ -384,12 +353,6 @@ class ModelEngine:
                 telemetry.count("engine_memo_bypass")
         if resilience is None:
             resilience = self.resilience
-        hint = self._last_hint.get(kind) if self.warm_start else None
-        if hint is not None and self._backend_obj.supports_warm_start:
-            # Re-index the hint onto this structure's column/row spaces
-            # (neutral entries where no counterpart exists).  Backends
-            # that ignore hints never need the mapping.
-            hint = map_warm_start(hint, structure)
         try:
             solution = solve_lp(
                 build(),
@@ -398,22 +361,12 @@ class ModelEngine:
                 label=label or kind,
                 resilience=resilience,
                 budget=budget,
-                warm_start=hint,
             )
         except InfeasibleProblemError:
             if key is not None:
                 self._remember(key, _INFEASIBLE)
             raise
         telemetry.count("engine_solves")
-        if self.warm_start:
-            self._last_hint[kind] = WarmStart(
-                x=solution.x,
-                ineq_duals=solution.ineq_duals,
-                eq_duals=solution.eq_duals,
-                basis=solution.basis,
-                label=label or kind,
-                structure=structure,
-            )
         if key is not None:
             self._remember(key, solution)
         return solution
@@ -428,7 +381,6 @@ class ModelEngine:
         self.topology.clear()
         self.layout.clear()
         self._solutions.clear()
-        self._last_hint.clear()
         self._carried = None
 
     def __repr__(self) -> str:

@@ -210,14 +210,6 @@ class LPSolution:
         "one more unit of right-hand side improves the stated objective
         by this much."  ``None`` when the backend reported no duals
         (e.g. MILP solves).
-    basis:
-        Opaque basis description from basis-reporting backends, carried
-        into the next :class:`~repro.engine.backend.WarmStart` of the
-        same LP family.  ``None`` for the bundled backends: the HiGHS
-        backend starts every solve cold (the binding has ``getBasis``,
-        but a basis-started solve of a degenerate LP can end at a
-        different optimal vertex), and the reference simplex reports
-        none.
     """
 
     x: np.ndarray
@@ -225,7 +217,6 @@ class LPSolution:
     iterations: int = 0
     ineq_duals: np.ndarray | None = None
     eq_duals: np.ndarray | None = None
-    basis: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -485,7 +476,6 @@ def solve_lp(
     label: str | None = None,
     resilience: SolveResilience | None = None,
     budget: SolveBudget | None = None,
-    warm_start=None,
     validate: bool = False,
 ) -> LPSolution:
     """Solve ``problem``; raise typed errors on failure.
@@ -557,7 +547,6 @@ def solve_lp(
     if resilience is None:
         solution = backend_obj.solve(
             problem,
-            warm_start=warm_start,
             telemetry=telemetry,
             label=label,
             budget=budget,
@@ -581,7 +570,6 @@ def solve_lp(
         try:
             solution = backend_obj.solve(
                 candidate,
-                warm_start=warm_start,
                 telemetry=telemetry,
                 label=label,
                 budget=budget,
@@ -617,7 +605,6 @@ def solve_lp(
         try:
             solution = get_backend(fallback).solve(
                 problem,
-                warm_start=warm_start,
                 telemetry=telemetry,
                 label=label,
                 budget=budget,

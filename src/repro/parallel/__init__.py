@@ -1,25 +1,15 @@
-"""Parallel execution layer: fleet mode and decomposed (sharded) solves.
+"""Parallel execution layer: the process fleet.
 
-Two independent levels of parallelism, per the roadmap's sharding item:
+Fleet mode (:mod:`repro.parallel.fleet`) fans whole tasks (seeded fuzz
+scenarios, experiment cells, chaos probes) out to a pool of worker
+processes as picklable :class:`TaskSpec` envelopes.  Results come back
+in spec order, so a run is deterministic regardless of completion
+order, and a task that raises, kills or hangs its worker is contained
+and reported in its own envelope.  ``repro fleet`` and
+``repro verify --fuzz --workers`` sit on top of this.
 
-* **Fleet mode** (:mod:`repro.parallel.fleet`) — fan whole tasks
-  (seeded fuzz scenarios, experiment cells) out to a pool of worker
-  processes as picklable :class:`TaskSpec` envelopes; results come
-  back in spec order, so a run is deterministic regardless of
-  completion order.  ``repro fleet`` and ``repro verify --fuzz --jobs``
-  sit on top of this.
-* **Decomposed solves** (:mod:`repro.parallel.partition` /
-  :mod:`repro.parallel.sharded`) — split one scheduling instance into
-  independent subproblems (conflict-graph components over shared edges
-  and overlapping windows, which subsumes network components after
-  fault edge bans and disjoint time blocks), solve the shards through
-  the solver-backend registry, and merge the grants back into a single
-  :class:`~repro.core.scheduler.ScheduleResult`.  The
-  :func:`repro.verify.oracles.sharded_vs_monolithic` oracle checks
-  every merged schedule against the monolithic solve.
-
-``docs/parallel.md`` has the full design narrative: decomposition
-rules, merge semantics and the determinism guarantees.
+``docs/parallel.md`` has the design narrative: task registration,
+crash and hang containment, and the determinism guarantees.
 """
 
 from .fleet import (
@@ -31,8 +21,6 @@ from .fleet import (
     run_fleet,
     task_names,
 )
-from .partition import Shard, partition_structure
-from .sharded import ShardedScheduler, ShardSolveSpec, fleet_shard_solve
 
 __all__ = [
     "TaskSpec",
@@ -42,9 +30,4 @@ __all__ = [
     "task_names",
     "run_fleet",
     "default_jobs",
-    "Shard",
-    "partition_structure",
-    "ShardedScheduler",
-    "ShardSolveSpec",
-    "fleet_shard_solve",
 ]

@@ -1,12 +1,11 @@
 """Fleet mode: fan picklable task specs out to a pool of worker processes.
 
-The fleet runner is the scenario-level half of the parallel layer (the
-subproblem-level half is :mod:`repro.parallel.sharded`).  It executes a
-list of :class:`TaskSpec` envelopes — *name of a registered task
-function* plus picklable keyword arguments — across ``jobs`` worker
-processes and returns one :class:`TaskResult` per spec, **always in
-spec order**, so a fleet run's output is a pure function of its input
-list no matter how the pool interleaves completions.
+The fleet runner executes a list of :class:`TaskSpec` envelopes —
+*name of a registered task function* plus picklable keyword arguments
+— across ``jobs`` worker processes and returns one :class:`TaskResult`
+per spec, **always in spec order**, so a fleet run's output is a pure
+function of its input list no matter how the pool interleaves
+completions.
 
 Design rules, all in service of determinism and crash containment:
 
@@ -23,20 +22,21 @@ Design rules, all in service of determinism and crash containment:
   message and traceback text); the run continues.
 * A task that *kills its worker* (segfault, ``os._exit``, OOM kill)
   breaks the whole :class:`~concurrent.futures.ProcessPoolExecutor`.
-  The runner rebuilds the pool and retries every unfinished spec once
-  (``retries=1``); specs still unfinished after their retry budget are
-  reported as ``error_type="WorkerCrashed"`` envelopes.  Note the
-  standard-library pool cannot attribute a crash to one spec, so a
-  crash charges a retry to every spec that was in flight — with the
-  default single retry, innocents complete on the rebuilt pool.
+  A broken shared pool cannot say which spec killed it, so the runner
+  charges nothing and reruns every unfinished spec one at a time on a
+  single-worker pool.  There a break is pinned on the spec that was
+  running alone, which is charged one retry (``retries=1`` by default)
+  and rerun; a spec whose own crashes exceed its budget is reported as
+  an ``error_type="WorkerCrashed"`` envelope.  An innocent spec never
+  loses a retry to a sibling's crash.
 * A task that *hangs its worker* (deadlock, unbounded loop, stuck I/O)
   is caught by ``task_timeout=``: when a full timeout window passes
-  without any spec completing, the runner declares the in-flight specs
-  hung, kills the pool outright and rebuilds it, charging the same
-  retry budget.  Specs whose budget is exhausted while hung are
-  reported as ``error_type="WorkerHung"`` envelopes.  Without a
-  timeout (the default) a hung worker blocks the run forever — the
-  pre-chaos behaviour.
+  without any spec completing, the runner kills the pool outright and
+  handles it like a crash — unfinished specs rerun one at a time, and
+  the spec running alone when a hang is declared is charged.  Specs
+  whose budget runs out that way are reported as
+  ``error_type="WorkerHung"`` envelopes.  Without a timeout (the
+  default) a hung worker blocks the run forever.
 * ``jobs=1`` runs every spec inline in the calling process — no pool,
   no pickling — which is both the fast path for small runs and the
   reference behaviour the determinism tests compare multi-worker runs
@@ -76,7 +76,6 @@ _TASKS: dict[str, Callable] = {}
 _BUILTIN_TASKS: dict[str, str] = {
     "fuzz_scenario": "repro.verify.fuzz:fleet_fuzz_scenario",
     "experiment": "repro.experiments.figures:fleet_experiment",
-    "shard_solve": "repro.parallel.sharded:fleet_shard_solve",
     "chaos_probe": "repro.chaos.inject:chaos_fleet_probe",
 }
 
@@ -160,9 +159,10 @@ class TaskResult:
     ``value`` holds the task function's return value when ``ok``;
     otherwise ``error`` / ``error_type`` / ``traceback`` describe the
     contained failure (``error_type="WorkerCrashed"`` when the worker
-    process died rather than raised).  ``attempts`` counts executions
-    including retries after pool crashes; ``worker_pid`` records where
-    the task ran.  Neither field is part of the deterministic payload —
+    process died rather than raised).  ``attempts`` counts the spec's
+    own crashed or hung runs plus its final one (reruns forced by a
+    sibling's crash are not counted); ``worker_pid`` records where the
+    task ran.  Neither field is part of the deterministic payload —
     report builders must key on ``value`` only.
     """
 
@@ -287,8 +287,8 @@ def run_fleet(
         Worker processes.  ``1`` (the default) runs inline with no
         pool; the output is identical either way.
     retries:
-        How many times an unfinished spec is re-submitted after its
-        worker pool breaks — by a crash *or* a hang kill — before being
+        How many times a spec is rerun after it broke a pool it was
+        running in alone — by a crash *or* a hang kill — before being
         reported as ``WorkerCrashed`` / ``WorkerHung``.
     start_method:
         ``"fork"`` / ``"spawn"`` / ``"forkserver"`` override; ``None``
@@ -296,11 +296,10 @@ def run_fleet(
     task_timeout:
         Hang deadline in seconds.  When a full window of this length
         passes with no spec completing, the in-flight specs are
-        declared hung, the pool is killed and rebuilt, and the hang
-        charges the same ``retries`` budget a crash does (the pool
-        cannot attribute the stall to one spec, so every in-flight spec
-        is charged).  ``None`` (the default) waits forever.  Ignored on
-        the inline ``jobs=1`` path, which has no worker to kill.
+        declared hung, the pool is killed and rebuilt, and the hang is
+        attributed and charged exactly as a crash is.  ``None`` (the
+        default) waits forever.  Ignored on the inline ``jobs=1`` path,
+        which has no worker to kill.
     """
     spec_list: Sequence[TaskSpec] = list(specs)
     if jobs < 1:
@@ -325,33 +324,30 @@ def run_fleet(
 
     ctx = _mp_context(start_method)
     results: list[TaskResult | None] = [None] * len(spec_list)
-    attempts = [0] * len(spec_list)
-    hung: set[int] = set()
+    charged = [0] * len(spec_list)
+    workers = jobs
     pending = list(range(len(spec_list)))
     while pending:
-        workers = min(jobs, len(pending))
+        workers = min(workers, len(pending))
+        hung = False
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
             index_of = {}
             for i in pending:
-                attempts[i] += 1
                 try:
                     index_of[pool.submit(_execute, spec_list[i], i)] = i
                 except BrokenProcessPool:
-                    pass  # pool already broken; retried or reported below
+                    break  # pool already broken; attributed below
             not_done = set(index_of)
             while not_done:
                 done, not_done = wait(not_done, timeout=task_timeout)
                 for future in done:
                     i = index_of[future]
                     try:
-                        results[i] = replace(
-                            future.result(), attempts=attempts[i]
-                        )
-                        hung.discard(i)
+                        result = future.result()
                     except BrokenProcessPool:
-                        pass  # worker died; retried or reported below
+                        continue  # worker died; attributed below
                     except Exception as exc:  # unpicklable spec/result etc.
-                        results[i] = TaskResult(
+                        result = TaskResult(
                             index=i,
                             task=spec_list[i].task,
                             label=spec_list[i].label,
@@ -359,26 +355,35 @@ def run_fleet(
                             error=str(exc),
                             error_type=type(exc).__name__,
                             traceback=traceback.format_exc(),
-                            attempts=attempts[i],
                         )
+                    results[i] = replace(result, attempts=charged[i] + 1)
                 if not done and not_done:
                     # A full timeout window with zero completions: the
-                    # in-flight specs are hung.  Queued futures that
-                    # cancel cleanly never ran; the rest were on a
-                    # worker and are marked hung for attribution.
+                    # pool is hung.  Kill it and treat it as broken.
+                    hung = True
                     for future in not_done:
-                        if not future.cancel():
-                            hung.add(index_of[future])
+                        future.cancel()
                     _kill_pool(pool)
                     break
-        still_pending = [i for i in pending if results[i] is None]
-        for i in list(still_pending):
-            if attempts[i] > retries:
-                results[i] = (
-                    _hung_result(spec_list[i], i, attempts[i], task_timeout)
-                    if i in hung
-                    else _crashed_result(spec_list[i], i, attempts[i])
-                )
-                still_pending.remove(i)
-        pending = still_pending
+        pending = [i for i in pending if results[i] is None]
+        if not pending:
+            break
+        if workers > 1:
+            # A shared pool broke and cannot say which spec broke it:
+            # charge nobody and rerun the rest one at a time.
+            workers = 1
+            continue
+        # A single worker runs specs in submission order, so the
+        # earliest unfinished spec is the one that broke the pool.
+        culprit = pending[0]
+        charged[culprit] += 1
+        if charged[culprit] > retries:
+            results[culprit] = (
+                _hung_result(spec_list[culprit], culprit, charged[culprit],
+                             task_timeout)
+                if hung
+                else _crashed_result(spec_list[culprit], culprit,
+                                     charged[culprit])
+            )
+            pending.pop(0)
     return [r for r in results if r is not None]

@@ -63,7 +63,7 @@ from ..control.kernel import (
     base_action_for,
     service_journal_entry,
     service_journal_header,
-    used_edges as shared_used_edges,
+    used_edges,
     window_closed,
 )
 from ..core.admission import admit_max_prefix
@@ -360,7 +360,7 @@ class ReservationService:
         """
         now = self.now
         epoch = self.epoch
-        self._crash_point("pre-batch", epoch)
+        self._kernel.crash_point("pre-batch", epoch)
         self._kernel.restart_budget()
 
         transitions: list[dict] = []
@@ -392,14 +392,14 @@ class ReservationService:
             EpochOutcome(epoch=epoch, delivered=delivered, completed=completed),
         )
 
-        self._crash_point("post-solve", epoch)
+        self._kernel.crash_point("post-solve", epoch)
         self._kernel.commit(
             self._journal,
             self._journal_entry(epoch, now, decisions, transitions)
             if self._journal is not None
             else None,
         )
-        self._crash_point("pre-respond", epoch)
+        self._kernel.crash_point("pre-respond", epoch)
 
         # Responses only after the journal holds the decisions: a crash
         # from here on re-delivers them from the ledger, never re-decides.
@@ -421,7 +421,7 @@ class ReservationService:
                 entry[1].resolve(decision)
                 if entry[1].latency is not None:
                     self.stats.observe_latency(entry[1].latency)
-        self._crash_point("post-journal", epoch)
+        self._kernel.crash_point("post-journal", epoch)
         self.epoch = epoch + 1
         self.stats.count("ticks")
         return decisions
@@ -443,9 +443,6 @@ class ReservationService:
     # ------------------------------------------------------------------
     # Tick stages
     # ------------------------------------------------------------------
-    def _crash_point(self, point: str, epoch: int) -> None:
-        self._kernel.crash_point(point, epoch)
-
     def _detect_faults(self, now: float, transitions: list[dict]) -> None:
         """Advance the fault cursor; void reservations on broken paths.
 
@@ -498,10 +495,11 @@ class ReservationService:
 
     def _derived_id(self, origin: str) -> str:
         n = 1
-        taken = {e["id"] for e in self._internal}
         while True:
             candidate = f"{origin}~v{n}"
-            if candidate not in taken and self.book.decided(candidate) is None:
+            if self.book.decided(candidate) is None and all(
+                e["id"] != candidate for e in self._internal
+            ):
                 return candidate
             n += 1
 
@@ -885,10 +883,12 @@ class ReservationService:
             if grid.slice_start(j) < now + self.tau - _EPS
         ]
         rate = self.network.wavelength_rate
-        used = self._used_edges(structure, result.x)
+        # The service's volume tolerance is the tight 1e-9 (ledger
+        # residuals are exact), versus the simulator's looser 1e-6.
+        used = used_edges(structure, result.x, _VOLUME_TOL)
         for i, job in enumerate(structure.jobs):
             res = active[str(job.id)]
-            res.used_edges = used.get(str(job.id), frozenset())
+            res.used_edges = used.get(job.id, frozenset())
             volume = float(delivery[i, executed].sum()) * rate if executed else 0.0
             if volume <= _VOLUME_TOL:
                 continue
@@ -901,20 +901,6 @@ class ReservationService:
                 transitions.append({"id": res.job.id, "status": "completed"})
                 self.stats.count("completed")
         return transitions, delivered, completed
-
-    @staticmethod
-    def _used_edges(structure, x) -> dict[str, frozenset[int]]:
-        """Shared used-edge extraction, re-keyed by string job id.
-
-        The service's volume tolerance is the tight ``1e-9`` (ledger
-        residuals are exact), versus the simulator's looser ``1e-6``.
-        """
-        return {
-            str(job_id): edges
-            for job_id, edges in shared_used_edges(
-                structure, x, _VOLUME_TOL
-            ).items()
-        }
 
     # ------------------------------------------------------------------
     # Journal format

@@ -278,19 +278,6 @@ class Simulation:
         scratch each epoch; results (records, events, journal bytes)
         are identical either way, only slower.  Recorded in the journal
         header so :meth:`resume` replays with the same setting.
-    planner:
-        Which scheduler plans each epoch: ``"monolithic"`` (the
-        default) uses :class:`~repro.core.scheduler.Scheduler`;
-        ``"sharded"`` uses
-        :class:`~repro.parallel.sharded.ShardedScheduler`, which
-        partitions each epoch's instance into independent subproblems
-        and merges the shard grants (see ``docs/parallel.md``).  Every
-        merged schedule is equivalence-checked against the monolithic
-        contract by the verify layer's oracle; recorded in the journal
-        header so :meth:`resume` replans the same way.
-    planner_workers:
-        Worker processes for concurrent shard solves when ``planner``
-        is ``"sharded"`` (``1`` solves shards sequentially in-process).
     verify_solutions:
         Treat solver backends as untrusted (chaos hardening): forwarded
         to the :class:`~repro.core.scheduler.Scheduler`, whose
@@ -298,7 +285,7 @@ class Simulation:
         :func:`repro.verify.verify_schedule` *before* rounding — a
         backend returning a subtly wrong solution raises
         :class:`~repro.errors.ScheduleError` before anything reaches
-        the journal.  Monolithic planner only.
+        the journal.
     journal_fault_injector:
         Optional chaos hook installed on the run's
         :class:`~repro.recovery.journal.EpochJournal`
@@ -314,8 +301,8 @@ class Simulation:
         :class:`~repro.control.EpochKernel`.  ``None`` (the default)
         and :class:`~repro.control.FixedPolicy` are byte-identical to
         each other; adaptive policies are incompatible with ``journal=``
-        (a resumed run cannot replay the policy's state) and with the
-        sharded planner.  See ``docs/architecture.md``.
+        (a resumed run cannot replay the policy's state).  See
+        ``docs/architecture.md``.
     """
 
     def __init__(
@@ -339,8 +326,6 @@ class Simulation:
         solve_budget: SolveBudget | None = None,
         crash_injector: CrashInjector | None = None,
         warm_start: bool = True,
-        planner: str = "monolithic",
-        planner_workers: int = 1,
         verify_solutions: bool = False,
         journal_fault_injector=None,
         control_policy=None,
@@ -384,20 +369,6 @@ class Simulation:
         self.verify_epochs = verify_epochs
         self.telemetry = telemetry or NULL_TELEMETRY
         self.warm_start = bool(warm_start)
-        # The per-epoch planner.  "sharded" swaps the monolithic
-        # Scheduler for repro.parallel's ShardedScheduler (partition +
-        # merge); the shard-equivalence oracle guarantees merged
-        # schedules stay checker-clean, and RET/admission solves are
-        # unaffected.  Recorded in the journal header so a resumed run
-        # replans exactly as the original did.
-        if planner not in ("monolithic", "sharded"):
-            raise ValidationError(f"unknown planner {planner!r}")
-        if planner_workers < 1:
-            raise ValidationError(
-                f"planner_workers must be >= 1, got {planner_workers}"
-            )
-        self.planner = planner
-        self.planner_workers = int(planner_workers)
         self.verify_solutions = bool(verify_solutions)
         self.journal_fault_injector = journal_fault_injector
         # One engine for the whole run: path sets, structure layouts and
@@ -434,19 +405,13 @@ class Simulation:
         if control_policy is not None and not getattr(
             control_policy, "journal_safe", False
         ):
-            # A resumed run replays without the policy object, and the
-            # sharded planner has no per-action variant: both would let
-            # an adaptive policy fork the recorded timeline.
+            # A resumed run replays without the policy object, so an
+            # adaptive policy would fork the recorded timeline.
             if journal is not None:
                 raise ValidationError(
                     "journal= requires a journal-safe control policy "
                     "(FixedPolicy or None); adaptive policies cannot be "
                     "replayed on resume"
-                )
-            if planner == "sharded":
-                raise ValidationError(
-                    "planner='sharded' supports only journal-safe control "
-                    "policies (FixedPolicy or None)"
                 )
         self.control_policy = control_policy
         #: Per-``k_paths`` engines and per-action schedulers, built
@@ -554,6 +519,12 @@ class Simulation:
             raise ValidationError(
                 f"journal header at {path} is missing field {exc}"
             ) from None
+        planner = config.get("planner", "monolithic")
+        if planner != "monolithic":
+            raise ValidationError(
+                f"journal header at {path} names planner {planner!r}; "
+                "only the monolithic planner exists"
+            )
         fault_schedule = None
         if header.get("faults") is not None:
             fault_schedule = FaultSchedule(
@@ -586,7 +557,6 @@ class Simulation:
             journal=path,
             solve_budget=solve_budget,
             warm_start=config.get("warm_start", True),
-            planner=config.get("planner", "monolithic"),
             verify_solutions=config.get("verify_solutions", False),
             crash_injector=crash_injector,
             journal_fault_injector=journal_fault_injector,
@@ -649,7 +619,6 @@ class Simulation:
             verify_epochs=self.verify_epochs,
             verify_solutions=self.verify_solutions,
             warm_start=self.warm_start,
-            planner=self.planner,
             solve_budget=self.solve_budget,
             resilience=self.resilience,
             fault_schedule=self.fault_schedule,
@@ -787,30 +756,16 @@ class Simulation:
         """
         kept_schedules: list = []
         verification: list = []
-        if self.planner == "sharded":
-            from ..parallel.sharded import ShardedScheduler
-
-            base_scheduler = ShardedScheduler(
-                self.network,
-                k_paths=self.k_paths,
-                alpha=self.alpha,
-                slice_length=self.slice_length,
-                telemetry=self.telemetry,
-                resilience=self.resilience,
-                engine=self._engine,
-                workers=self.planner_workers,
-            )
-        else:
-            base_scheduler = Scheduler(
-                self.network,
-                k_paths=self.k_paths,
-                alpha=self.alpha,
-                slice_length=self.slice_length,
-                telemetry=self.telemetry,
-                resilience=self.resilience,
-                engine=self._engine,
-                verify_solutions=self.verify_solutions,
-            )
+        base_scheduler = Scheduler(
+            self.network,
+            k_paths=self.k_paths,
+            alpha=self.alpha,
+            slice_length=self.slice_length,
+            telemetry=self.telemetry,
+            resilience=self.resilience,
+            engine=self._engine,
+            verify_solutions=self.verify_solutions,
+        )
         base_paths = self._engine.topology.path_sets(jobs.od_pairs())
 
         journal_mark = len(events)

@@ -39,13 +39,10 @@ from .fuzz import (
 )
 from .oracles import (
     DEFAULT_GAP_BOUND,
-    SHARD_EXACT_TOL,
     CrossCheckResult,
     OracleResult,
-    ShardedEquivalence,
     backend_cross_check,
     lpdar_vs_exact,
-    sharded_vs_monolithic,
 )
 
 __all__ = [
@@ -56,13 +53,10 @@ __all__ = [
     "verify_assignment",
     "verify_grants",
     "DEFAULT_GAP_BOUND",
-    "SHARD_EXACT_TOL",
     "OracleResult",
     "CrossCheckResult",
-    "ShardedEquivalence",
     "lpdar_vs_exact",
     "backend_cross_check",
-    "sharded_vs_monolithic",
     "Scenario",
     "ScenarioOutcome",
     "FuzzSummary",

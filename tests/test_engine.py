@@ -15,12 +15,10 @@ from repro.engine import (
     LayoutLayer,
     ModelEngine,
     TopologyLayer,
-    WarmStart,
     available_backends,
     build_structure,
     capacity_floor_blocks,
     get_backend,
-    map_warm_start,
     register_backend,
     stage1_blocks,
 )
@@ -121,11 +119,10 @@ class TestBackendRegistry:
 
         class CountingBackend:
             name = "counting"
-            supports_warm_start = True
 
-            def solve(self, problem, *, warm_start=None, telemetry=None,
-                      label=None, budget=None):
-                calls.append(warm_start)
+            def solve(self, problem, *, telemetry=None, label=None,
+                      budget=None):
+                calls.append(label)
                 return HighsBackend().solve(
                     problem, telemetry=telemetry, label=label, budget=budget
                 )
@@ -138,10 +135,9 @@ class TestBackendRegistry:
                 b_ub=np.array([3.0]),
                 maximize=True,
             )
-            hint = WarmStart(x=np.array([3.0]), label="probe")
-            solution = solve_lp(lp, backend="counting", warm_start=hint)
+            solution = solve_lp(lp, backend="counting", label="probe")
             assert solution.x[0] == pytest.approx(3.0)
-            assert calls == [hint]
+            assert calls == ["probe"]
         finally:
             backend_mod._REGISTRY.pop("counting", None)
 
@@ -290,7 +286,7 @@ class TestCachedSolve:
             structure, "stage1", lambda: build_stage1_lp(structure)
         )
         assert second is first
-        assert telemetry.counters["warm_starts"] == 1
+        assert telemetry.counters["memo_hits"] == 1
         assert telemetry.counters["engine_solves"] == 1
 
     def test_infeasibility_is_memoized_and_replayed(self, network):
@@ -309,7 +305,7 @@ class TestCachedSolve:
                 engine.cached_solve(
                     structure, "subret", lambda: build_subret_lp(structure)
                 )
-            assert telemetry.counters.get("warm_starts", 0) == expected_hits
+            assert telemetry.counters.get("memo_hits", 0) == expected_hits
 
     def test_cache_false_always_solves(self, network, jobs):
         telemetry = Telemetry()
@@ -320,7 +316,7 @@ class TestCachedSolve:
                 structure, "stage1", lambda: build_stage1_lp(structure),
                 cache=False,
             )
-        assert telemetry.counters.get("warm_starts", 0) == 0
+        assert telemetry.counters.get("memo_hits", 0) == 0
         assert telemetry.counters["engine_solves"] == 2
 
     def test_cold_engine_never_reuses(self, network, jobs):
@@ -332,7 +328,7 @@ class TestCachedSolve:
         assert second is not first
         engine.cached_solve(first, "stage1", lambda: build_stage1_lp(first))
         engine.cached_solve(first, "stage1", lambda: build_stage1_lp(first))
-        assert telemetry.counters.get("warm_starts", 0) == 0
+        assert telemetry.counters.get("memo_hits", 0) == 0
         assert telemetry.counters.get("structure_cache_hits", 0) == 0
         assert telemetry.counters["engine_solves"] == 2
 
@@ -377,7 +373,7 @@ class TestEngineWindows:
             second, "subret", lambda: build_subret_lp(second)
         )
         assert s2 is s1
-        assert telemetry.counters["warm_starts"] == 1
+        assert telemetry.counters["memo_hits"] == 1
         assert telemetry.counters["engine_solves"] == 1
 
     def test_extend_windows_validates_inputs(self, network, jobs):
@@ -574,7 +570,7 @@ class TestDeltaPatching:
         # The solve memo works over patched structures: two solves, one LP.
         engine.cached_solve(patched, "stage1", lambda: build_stage1_lp(patched))
         engine.cached_solve(patched, "stage1", lambda: build_stage1_lp(patched))
-        assert telemetry.counters["warm_starts"] == 1
+        assert telemetry.counters["memo_hits"] == 1
         assert telemetry.counters.get("engine_memo_bypass", 0) == 0
 
     def test_memo_bypass_counted_for_unkeyed_structures(self, network, jobs):
@@ -588,7 +584,7 @@ class TestDeltaPatching:
         )
         engine.cached_solve(outside, "stage1", lambda: build_stage1_lp(outside))
         assert telemetry.counters["engine_memo_bypass"] == 1
-        assert telemetry.counters.get("warm_starts", 0) == 0
+        assert telemetry.counters.get("memo_hits", 0) == 0
 
 
 class TestCacheBounds:
@@ -684,101 +680,3 @@ class TestCarriedPlan:
         assert np.array_equal(
             warm.assignments.x_lpdar, cold.assignments.x_lpdar
         )
-
-
-class TestWarmStartMapping:
-    def _patched_pair(self, network, jobs):
-        engine = ModelEngine(network, k_paths=2)
-        donor = engine.structure(jobs, TimeGrid.covering(jobs.max_end()))
-        shifted = JobSet(
-            [dataclasses.replace(j, start=j.start + 1.0, end=j.end + 1.0)
-             for j in jobs]
-        )
-        target = engine.structure(shifted, TimeGrid.covering(shifted.max_end()))
-        return donor, target
-
-    def test_hint_without_structure_passes_through(self, network, jobs):
-        engine = ModelEngine(network, k_paths=2)
-        structure = engine.structure(jobs, TimeGrid.covering(jobs.max_end()))
-        hint = WarmStart(x=np.zeros(structure.num_cols))
-        assert map_warm_start(hint, structure) is hint
-        bound = WarmStart(x=np.zeros(structure.num_cols), structure=structure)
-        assert map_warm_start(bound, structure) is bound
-
-    def test_columns_map_by_identity_with_neutral_fill(self, network, jobs):
-        donor, target = self._patched_pair(network, jobs)
-        x = np.arange(1.0, donor.num_cols + 2)  # +1 trailing aux (stage 1 Z)
-        hint = WarmStart(
-            x=x,
-            ineq_duals=np.arange(1.0, donor.capacity_matrix.shape[0] + 1),
-            basis=(1, 2),
-            structure=donor,
-        )
-        mapped = map_warm_start(hint, target)
-        assert mapped.x.shape[0] == target.num_cols + 1
-        assert mapped.x[-1] == x[-1]  # aux column preserved positionally
-        assert mapped.basis is None  # a permuted basis is worse than none
-        assert mapped.structure is target
-        assert mapped.ineq_duals.shape[0] == target.capacity_matrix.shape[0]
-        # Columns are matched by (job, path, absolute slice time): shifting
-        # every window by +1 slice leaves the overlap carrying donor values
-        # and zero-fills columns over the new final slice.
-        for c in range(target.num_cols):
-            i = int(target.col_job[c])
-            ident = (
-                target.jobs[i].id,
-                tuple(target.paths[i][int(target.col_path[c])].edge_ids),
-                float(target.grid.slice_start(int(target.col_slice[c]))),
-            )
-            donor_vals = {}
-            for d in range(donor.num_cols):
-                di = int(donor.col_job[d])
-                donor_vals[
-                    (
-                        donor.jobs[di].id,
-                        tuple(
-                            donor.paths[di][int(donor.col_path[d])].edge_ids
-                        ),
-                        float(donor.grid.slice_start(int(donor.col_slice[d]))),
-                    )
-                ] = x[d]
-            assert mapped.x[c] == donor_vals.get(ident, 0.0)
-
-    def test_warm_capable_backend_receives_mapped_hint(self, network, jobs):
-        received = []
-
-        class RecordingBackend:
-            name = "recording"
-            supports_warm_start = True
-
-            def solve(self, problem, *, warm_start=None, telemetry=None,
-                      label=None, budget=None):
-                received.append(warm_start)
-                return HighsBackend().solve(
-                    problem, telemetry=telemetry, label=label, budget=budget
-                )
-
-        register_backend(RecordingBackend())
-        try:
-            engine = ModelEngine(network, k_paths=2, backend="recording")
-            donor = engine.structure(jobs, TimeGrid.covering(jobs.max_end()))
-            engine.cached_solve(
-                donor, "stage1", lambda: build_stage1_lp(donor)
-            )
-            assert received[0] is None  # nothing to hint from yet
-            shifted = JobSet(
-                [dataclasses.replace(j, start=j.start + 1.0, end=j.end + 1.0)
-                 for j in jobs]
-            )
-            target = engine.structure(
-                shifted, TimeGrid.covering(shifted.max_end())
-            )
-            engine.cached_solve(
-                target, "stage1", lambda: build_stage1_lp(target)
-            )
-            hint = received[1]
-            assert hint is not None
-            assert hint.structure is target  # re-indexed, not passed raw
-            assert hint.x.shape[0] == target.num_cols + 1
-        finally:
-            backend_mod._REGISTRY.pop("recording", None)

@@ -1,40 +1,21 @@
-"""Unit tests for the parallel layer: fleet runner, partition, sharding.
+"""Unit tests for the parallel layer: the fleet runner.
 
-The equivalence-oracle and determinism properties live in
-``test_parallel_equivalence.py``; this file pins the mechanics — spec
-ordering, failure envelopes, crash retries, partition shapes, merge
-plumbing, and the picklability contract fleet mode depends on
-(satellite 1).
+The determinism properties live in ``test_parallel_equivalence.py``;
+this file pins the mechanics — spec ordering, failure envelopes, crash
+retries and their attribution, and the picklability contract fleet
+mode depends on.
 """
 
 import os
 import pickle
 
-import numpy as np
 import pytest
 
-from repro import (
-    Job,
-    JobSet,
-    Scheduler,
-    ValidationError,
-)
+from repro import ValidationError
 from repro.faults import FaultSchedule
 from repro.network import topologies
-from repro.network.graph import Network
-from repro.parallel import (
-    Shard,
-    ShardedScheduler,
-    TaskResult,
-    TaskSpec,
-    partition_structure,
-    register_task,
-    run_fleet,
-)
+from repro.parallel import TaskSpec, register_task, run_fleet
 from repro.parallel.fleet import default_jobs, get_task, task_names
-from repro.parallel.sharded import ShardSolveSpec, fleet_shard_solve
-from repro.recovery import SolveBudget
-from repro.timegrid import TimeGrid
 from repro.verify.fuzz import make_scenario, run_scenario
 
 
@@ -60,6 +41,12 @@ def _crash_once(sentinel):
     with open(sentinel, "w") as fh:
         fh.write("seen")
     os._exit(13)
+
+
+@register_task("test-kill")
+def _kill():
+    """Dies hard on every call, retries included."""
+    os._exit(17)
 
 
 class TestFleetRunner:
@@ -116,6 +103,25 @@ class TestFleetRunner:
         assert not results[0].ok
         assert results[0].error_type == "WorkerCrashed"
 
+    def test_killer_is_charged_and_innocents_never_are(self):
+        # The killer breaks the shared pool on every attempt while
+        # innocents are in flight beside it; only the killer may lose
+        # its retries, every time.
+        specs = [TaskSpec("test-square", {"n": n}, label=f"sq[{n}]")
+                 for n in range(5)]
+        specs.insert(2, TaskSpec("test-kill", label="killer"))
+        for _ in range(3):
+            results = run_fleet(specs, jobs=2, retries=1)
+            by_label = {r.label: r for r in results}
+            killer = by_label.pop("killer")
+            assert not killer.ok
+            assert killer.error_type == "WorkerCrashed"
+            assert killer.attempts == 2
+            assert [r.value for r in by_label.values()] == [
+                n * n for n in range(5)
+            ]
+            assert all(r.ok and r.attempts == 1 for r in by_label.values())
+
     def test_unknown_task_rejected(self):
         with pytest.raises(ValidationError, match="unknown fleet task"):
             run_fleet([TaskSpec("no-such-task")], jobs=1)
@@ -135,7 +141,7 @@ class TestFleetRunner:
         assert get_task("os:getpid") is os.getpid
         # Built-ins resolve lazily and land in task_names().
         assert get_task("fuzz_scenario").__name__ == "fleet_fuzz_scenario"
-        for name in ("fuzz_scenario", "experiment", "shard_solve"):
+        for name in ("fuzz_scenario", "experiment", "chaos_probe"):
             assert name in task_names()
         assert "test-square" in task_names()
 
@@ -144,7 +150,7 @@ class TestFleetRunner:
 
 
 # ---------------------------------------------------------------------------
-# Satellite 1: picklability of everything fleet mode ships to workers.
+# Picklability of everything fleet mode ships to workers.
 # ---------------------------------------------------------------------------
 class TestPicklability:
     def test_scenario_roundtrip_offline(self):
@@ -182,7 +188,7 @@ class TestPicklability:
         assert run_scenario(clone).failures == run_scenario(scenario).failures
 
     def test_pickle_to_worker_roundtrip_deterministic(self):
-        # The full satellite-1 loop: spec pickles into a worker process,
+        # The full loop: the spec pickles into a worker process,
         # the outcome pickles back, and both match the inline run.
         specs = [
             TaskSpec("fuzz_scenario", {"seed": seed, "oracle": True})
@@ -195,228 +201,3 @@ class TestPicklability:
             assert a.value.scenario.description == b.value.scenario.description
             assert a.value.failures == b.value.failures
             assert a.value.gap == b.value.gap
-
-    def test_shard_solve_spec_roundtrip(self):
-        network = topologies.line(4, capacity=2)
-        jobs = JobSet(
-            [Job(id="a", source=0, dest=3, size=3.0, start=0.0, end=4.0)]
-        )
-        scheduler = ShardedScheduler(network, k_paths=2)
-        structure = scheduler.build_structure(jobs)
-        spec = ShardSolveSpec(
-            network=structure.network,
-            jobs=structure.jobs,
-            grid=structure.grid,
-            k_paths=structure.k_paths,
-            paths=tuple(tuple(p) for p in structure.paths),
-        )
-        clone = pickle.loads(pickle.dumps(spec))
-        assert fleet_shard_solve(clone)["zstar"] == pytest.approx(
-            fleet_shard_solve(spec)["zstar"]
-        )
-
-
-# ---------------------------------------------------------------------------
-# Partition shapes.
-# ---------------------------------------------------------------------------
-def _two_component_network():
-    net = Network(wavelength_rate=1.0)
-    for c in range(2):
-        for i in range(2):
-            net.add_link_pair(f"c{c}n{i}", f"c{c}n{i + 1}", capacity=2)
-    return net
-
-
-class TestPartition:
-    def test_single_component_single_shard(self):
-        network = topologies.line(4, capacity=2)
-        jobs = JobSet(
-            [
-                Job(id=i, source=0, dest=3, size=1.0, start=0.0, end=3.0)
-                for i in range(3)
-            ]
-        )
-        structure = Scheduler(network, k_paths=2).build_structure(jobs)
-        shards = partition_structure(structure)
-        assert len(shards) == 1
-        assert shards[0].job_indices == (0, 1, 2)
-
-    def test_disjoint_time_blocks_split(self):
-        network = topologies.line(3, capacity=2)
-        jobs = JobSet(
-            [
-                Job(id="early", source=0, dest=2, size=1.0, start=0.0, end=2.0),
-                Job(id="late", source=0, dest=2, size=1.0, start=2.0, end=4.0),
-            ]
-        )
-        structure = Scheduler(network, k_paths=2).build_structure(
-            jobs, TimeGrid.uniform(4)
-        )
-        shards = partition_structure(structure)
-        assert len(shards) == 2
-        # Same edges, but the windows never overlap.
-        assert shards[0].edge_ids == shards[1].edge_ids
-        assert shards[0].slice_window == (0, 2)
-        assert shards[1].slice_window == (2, 4)
-
-    def test_network_components_split(self):
-        network = _two_component_network()
-        jobs = JobSet(
-            [
-                Job(id="a", source="c0n0", dest="c0n2", size=1.0, start=0.0, end=3.0),
-                Job(id="b", source="c1n0", dest="c1n2", size=1.0, start=0.0, end=3.0),
-            ]
-        )
-        structure = Scheduler(network, k_paths=2).build_structure(jobs)
-        shards = partition_structure(structure)
-        assert len(shards) == 2
-        assert not (shards[0].edge_ids & shards[1].edge_ids)
-
-    def test_every_job_in_exactly_one_nonempty_shard(self):
-        scenario = make_scenario(11, allow_faults=False)
-        structure = Scheduler(scenario.network, k_paths=2).build_structure(
-            scenario.jobs, scenario.grid
-        )
-        shards = partition_structure(structure)
-        assert all(isinstance(s, Shard) for s in shards)
-        assert all(s.job_indices for s in shards)
-        covered = sorted(i for s in shards for i in s.job_indices)
-        assert covered == list(range(len(structure.jobs)))
-
-    def test_chained_overlaps_stay_together(self):
-        # a overlaps b, b overlaps c, a never overlaps c: one shard.
-        network = topologies.line(3, capacity=2)
-        jobs = JobSet(
-            [
-                Job(id="a", source=0, dest=2, size=1.0, start=0.0, end=2.0),
-                Job(id="b", source=0, dest=2, size=1.0, start=1.0, end=4.0),
-                Job(id="c", source=0, dest=2, size=1.0, start=3.0, end=5.0),
-            ]
-        )
-        structure = Scheduler(network, k_paths=2).build_structure(
-            jobs, TimeGrid.uniform(5)
-        )
-        assert len(partition_structure(structure)) == 1
-
-
-# ---------------------------------------------------------------------------
-# ShardedScheduler mechanics.
-# ---------------------------------------------------------------------------
-class TestShardedScheduler:
-    def test_single_shard_grant_identical(self):
-        network = topologies.line(4, capacity=2)
-        jobs = JobSet(
-            [
-                Job(id=i, source=0, dest=3, size=2.0, start=0.0, end=4.0)
-                for i in range(3)
-            ]
-        )
-        mono = Scheduler(network, k_paths=2).schedule(jobs)
-        sharded = ShardedScheduler(network, k_paths=2).schedule(jobs)
-        assert sharded.alpha == mono.alpha
-        assert np.array_equal(sharded.x, mono.x)
-        assert np.array_equal(sharded.stage1.x, mono.stage1.x)
-
-    def test_workers_do_not_change_grants(self):
-        network = _two_component_network()
-        jobs = JobSet(
-            [
-                Job(id="a", source="c0n0", dest="c0n2", size=3.0, start=0.0, end=3.0),
-                Job(id="b", source="c1n0", dest="c1n2", size=2.0, start=0.0, end=3.0),
-            ]
-        )
-        seq = ShardedScheduler(network, k_paths=2, workers=1).schedule(jobs)
-        par = ShardedScheduler(network, k_paths=2, workers=2).schedule(jobs)
-        assert par.alpha == seq.alpha
-        assert np.array_equal(par.x, seq.x)
-
-    def test_partition_method_matches_structure_partition(self):
-        network = _two_component_network()
-        jobs = JobSet(
-            [
-                Job(id="a", source="c0n0", dest="c0n2", size=1.0, start=0.0, end=3.0),
-                Job(id="b", source="c1n0", dest="c1n2", size=1.0, start=0.0, end=3.0),
-            ]
-        )
-        scheduler = ShardedScheduler(network, k_paths=2)
-        shards = scheduler.partition(jobs)
-        assert [s.job_indices for s in shards] == [(0,), (1,)]
-
-    def test_budget_delegates_to_monolithic(self):
-        network = topologies.line(3, capacity=2)
-        jobs = JobSet(
-            [Job(id="a", source=0, dest=2, size=1.0, start=0.0, end=3.0)]
-        )
-        scheduler = ShardedScheduler(network, k_paths=2)
-        result = scheduler.schedule(jobs, budget=SolveBudget(wall_time_s=60.0))
-        assert result.verify().ok
-        # The sharded span/counters never fire on the delegated path.
-        assert "sharded_solves" not in scheduler.telemetry.counters
-
-    def test_random_greedy_order_delegates(self):
-        network = topologies.line(3, capacity=2)
-        jobs = JobSet(
-            [Job(id="a", source=0, dest=2, size=1.0, start=0.0, end=3.0)]
-        )
-        scheduler = ShardedScheduler(
-            network,
-            k_paths=2,
-            greedy_order="random",
-            rng=np.random.default_rng(3),
-        )
-        assert scheduler.schedule(jobs).verify().ok
-        assert "sharded_solves" not in scheduler.telemetry.counters
-
-    def test_sharded_telemetry_counters(self):
-        network = _two_component_network()
-        jobs = JobSet(
-            [
-                Job(id="a", source="c0n0", dest="c0n2", size=1.0, start=0.0, end=3.0),
-                Job(id="b", source="c1n0", dest="c1n2", size=1.0, start=0.0, end=3.0),
-            ]
-        )
-        from repro import Telemetry
-
-        scheduler = ShardedScheduler(network, k_paths=2, telemetry=Telemetry())
-        scheduler.schedule(jobs)
-        assert scheduler.telemetry.counters["sharded_solves"] == 1
-        assert scheduler.telemetry.counters["shard_solves"] == 2
-
-    def test_weighted_jobs_match_monolithic(self):
-        network = topologies.line(4, capacity=2)
-        jobs = JobSet(
-            [
-                Job(
-                    id=i,
-                    source=0,
-                    dest=3,
-                    size=2.0,
-                    start=0.0,
-                    end=4.0,
-                    weight=float(i + 1),
-                )
-                for i in range(2)
-            ]
-        )
-        mono = Scheduler(network, k_paths=2).schedule(jobs)
-        sharded = ShardedScheduler(network, k_paths=2).schedule(jobs)
-        assert np.array_equal(sharded.x, mono.x)
-
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(ValidationError, match="workers"):
-            ShardedScheduler(topologies.line(3), workers=0)
-
-    def test_merge_rejects_mismatched_shard_solution(self):
-        network = topologies.line(3, capacity=2)
-        jobs = JobSet(
-            [Job(id="a", source=0, dest=2, size=1.0, start=0.0, end=3.0)]
-        )
-        structure = Scheduler(network, k_paths=2).build_structure(jobs)
-        (shard,) = partition_structure(structure)
-        out = np.zeros(structure.num_cols)
-        from repro.errors import SolverError
-
-        with pytest.raises(SolverError, match="columns"):
-            ShardedScheduler._merge_into(
-                structure, shard, np.zeros(structure.num_cols + 1), out
-            )

@@ -1,207 +1,15 @@
-"""The shard-equivalence oracle and fleet determinism guarantees.
+"""Fleet determinism: the worker count never leaks into a report.
 
-Satellite 3: a hypothesis property over :func:`make_scenario` (fault
-timelines included, exercised through the simulator's ``planner``
-switch) asserting the decomposed solve is grant-identical — or, for
-multi-shard instances, objective-equal within the oracle's bounds — to
-the monolithic solve, plus the explicit edge cases the issue names.
-Faulted *trajectories* are compared at the invariant level only:
-vertex selection decides link placement, and placement decides which
-deliveries a mid-epoch fault voids (see the caveat in
-:mod:`repro.parallel.sharded`).
-
-Satellite 4: fleet fuzz runs with ``--jobs 1`` and ``--jobs 4`` must
-produce byte-identical per-scenario reports.
+Fleet fuzz runs with ``jobs=1`` and ``jobs=4`` must produce
+byte-identical per-scenario reports, and repeated pooled runs must
+agree with each other.
 """
 
-import numpy as np
-import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
-
-from repro import Job, JobSet, Scheduler, Simulation, ValidationError
-from repro.network import topologies
-from repro.network.graph import Network
-from repro.parallel import ShardedScheduler, partition_structure
-from repro.timegrid import TimeGrid
-from repro.verify import sharded_vs_monolithic
-from repro.verify.fuzz import make_scenario, run_fuzz
-
-SOLVER_SETTINGS = settings(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-
-
-class TestEquivalenceProperty:
-    @SOLVER_SETTINGS
-    @given(seed=st.integers(min_value=0, max_value=50_000))
-    def test_sharded_matches_monolithic(self, seed):
-        scenario = make_scenario(seed, allow_faults=False)
-        equivalence = sharded_vs_monolithic(
-            scenario.network, scenario.jobs, scenario.grid
-        )
-        assert equivalence.ok, "\n".join(equivalence.failures)
-        if equivalence.num_shards == 1:
-            assert equivalence.grant_identical
-
-    @SOLVER_SETTINGS
-    @given(seed=st.integers(min_value=0, max_value=50_000))
-    def test_partition_covers_every_job_once(self, seed):
-        scenario = make_scenario(seed, allow_faults=False)
-        structure = Scheduler(scenario.network, k_paths=2).build_structure(
-            scenario.jobs, scenario.grid
-        )
-        shards = partition_structure(structure)
-        assert all(s.job_indices for s in shards), "empty shard emitted"
-        covered = sorted(i for s in shards for i in s.job_indices)
-        assert covered == list(range(len(structure.jobs)))
-
-    @SOLVER_SETTINGS
-    @given(seed=st.integers(min_value=0, max_value=2_000))
-    def test_fault_timeline_sharded_planner_matches(self, seed):
-        # Fault timelines reach the planner through the simulator.  The
-        # sharding contract (repro.parallel.sharded) guarantees
-        # objective-level equivalence per instance, not vertex identity:
-        # a multi-shard stage-2 LP may place the same delivered volume
-        # on different links, and under a fault timeline the placement
-        # decides which deliveries a mid-epoch link loss voids — so
-        # faulted trajectories can legitimately diverge once a loss
-        # lands.  What must hold on every seed: both planners run the
-        # timeline to completion with every epoch invariant report
-        # clean, track the same job set to terminal states, and agree
-        # exactly on the first scheduling pass (identical instance, and
-        # stage 1 decomposes exactly).
-        scenario = make_scenario(seed, allow_faults=True)
-        if scenario.fault_schedule is None:
-            return
-        runs = {}
-        for planner in ("monolithic", "sharded"):
-            sim = Simulation(
-                scenario.network,
-                policy="reduce",
-                fault_schedule=scenario.fault_schedule,
-                verify_epochs=True,
-                planner=planner,
-            )
-            runs[planner] = sim.run(scenario.jobs, horizon=scenario.grid.end * 3)
-        terminal = {"completed", "expired", "rejected"}
-        first_pass = {}
-        for planner, result in runs.items():
-            assert all(report.ok for report in result.verification), planner
-            statuses = {str(r.job.id): r.status for r in result.records}
-            assert set(statuses.values()) <= terminal, (planner, statuses)
-            first_pass[planner] = next(
-                (
-                    (e.zstar, e.num_jobs)
-                    for e in result.events
-                    if type(e).__name__ == "SchedulingPass"
-                ),
-                None,
-            )
-        mono = {str(r.job.id): r.status for r in runs["monolithic"].records}
-        shard = {str(r.job.id): r.status for r in runs["sharded"].records}
-        assert sorted(mono) == sorted(shard)
-        za, zb = first_pass["monolithic"], first_pass["sharded"]
-        if za is not None and zb is not None:
-            assert za[1] == zb[1]
-            assert za[0] == pytest.approx(zb[0], abs=1e-6)
-
-
-class TestEquivalenceEdgeCases:
-    def test_single_component_graph(self):
-        # Every job shares the line's middle edge in one overlapping
-        # window: one shard, bit-identical grants.
-        network = topologies.line(4, capacity=2)
-        jobs = JobSet(
-            [
-                Job(id=i, source=0, dest=3, size=2.0, start=0.0, end=4.0)
-                for i in range(3)
-            ]
-        )
-        equivalence = sharded_vs_monolithic(network, jobs)
-        assert equivalence.ok, "\n".join(equivalence.failures)
-        assert equivalence.num_shards == 1
-        assert equivalence.grant_identical
-
-    def test_one_time_block(self):
-        # A single slice: all windows trivially overlap, so the only
-        # possible split is by network component — here, none.
-        network = topologies.ring(5, capacity=2)
-        jobs = JobSet(
-            [
-                Job(id=i, source=i, dest=(i + 2) % 5, size=0.5, start=0.0, end=1.0)
-                for i in range(3)
-            ]
-        )
-        equivalence = sharded_vs_monolithic(network, jobs, grid=TimeGrid.uniform(1))
-        assert equivalence.ok, "\n".join(equivalence.failures)
-        assert equivalence.num_shards == 1
-
-    def test_disjoint_time_blocks_stay_equivalent(self):
-        network = topologies.line(3, capacity=1)
-        jobs = JobSet(
-            [
-                Job(id="early", source=0, dest=2, size=1.5, start=0.0, end=2.0),
-                Job(id="late", source=0, dest=2, size=1.5, start=2.0, end=4.0),
-            ]
-        )
-        equivalence = sharded_vs_monolithic(
-            network, jobs, grid=TimeGrid.uniform(4)
-        )
-        assert equivalence.ok, "\n".join(equivalence.failures)
-        assert equivalence.num_shards == 2
-
-    def test_all_edges_banned_component_raises_like_monolithic(self):
-        # A capacity profile that zeroes out every wavelength of one
-        # component's edges: the monolithic and sharded schedulers must
-        # fail identically (no silent drop of the starved component).
-        net = Network(wavelength_rate=1.0)
-        net.add_link_pair("a0", "a1", capacity=2)
-        net.add_link_pair("b0", "b1", capacity=2)
-        jobs = JobSet(
-            [
-                Job(id="a", source="a0", dest="a1", size=1.0, start=0.0, end=3.0),
-                Job(id="b", source="b0", dest="b1", size=1.0, start=0.0, end=3.0),
-            ]
-        )
-        grid = TimeGrid.uniform(3)
-        from repro import CapacityProfile
-
-        matrix = np.tile(
-            net.capacities()[:, None], (1, grid.num_slices)
-        ).astype(float)
-        for edge in net.edges:
-            if edge.source.startswith("b"):
-                matrix[net.edge_id(edge.source, edge.target), :] = 0.0
-        profile = CapacityProfile(net, grid, matrix)
-        mono_exc = sharded_exc = None
-        try:
-            Scheduler(net, k_paths=2).schedule(
-                jobs, grid, capacity_profile=profile
-            )
-        except Exception as exc:  # noqa: BLE001 - comparing behaviours
-            mono_exc = exc
-        try:
-            ShardedScheduler(net, k_paths=2).schedule(
-                jobs, grid, capacity_profile=profile
-            )
-        except Exception as exc:  # noqa: BLE001
-            sharded_exc = exc
-        assert type(sharded_exc) is type(mono_exc)
-        if mono_exc is None:
-            # Both schedulable (zero capacity expressed as zero rate):
-            # then the full equivalence contract must hold instead.
-            equivalence = sharded_vs_monolithic(
-                net, jobs, grid, capacity_profile=profile
-            )
-            assert equivalence.ok, "\n".join(equivalence.failures)
+from repro.verify.fuzz import run_fuzz
 
 
 class TestFleetDeterminism:
     def test_jobs_1_and_jobs_4_reports_identical(self):
-        # Satellite 4: worker count must not leak into the report.
         serial = run_fuzz(8, seed=5, jobs=1)
         fleet = run_fuzz(8, seed=5, jobs=4)
         assert serial.render() == fleet.render()

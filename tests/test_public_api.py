@@ -46,7 +46,6 @@ class TestPublicSurface:
             "TopologyLayer",
             "LayoutLayer",
             "SolverBackend",
-            "WarmStart",
             "HighsBackend",
             "SimplexBackend",
             "register_backend",
@@ -72,15 +71,12 @@ class TestPublicSurface:
             assert getattr(repro, name) is getattr(repro.recovery, name)
 
     def test_parallel_names_exported_at_top_level(self):
-        """Fleet mode and decomposed solves are part of the top-level API."""
+        """The process fleet is part of the top-level API."""
         for name in (
             "TaskSpec",
             "TaskResult",
             "register_task",
             "run_fleet",
-            "Shard",
-            "partition_structure",
-            "ShardedScheduler",
         ):
             assert name in repro.__all__, f"{name} missing from repro.__all__"
             assert getattr(repro, name) is getattr(repro.parallel, name)

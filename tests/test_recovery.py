@@ -333,6 +333,24 @@ class TestJournalEntryKinds:
         with pytest.raises(ValidationError, match="reservation-service"):
             Simulation.resume(path)
 
+    def test_simulation_resume_refuses_other_planner(
+        self, sim_net, sim_jobs, tmp_path
+    ):
+        # Only the monolithic per-epoch planner exists; a journal is
+        # outside input, so a header naming another one is refused.
+        original = tmp_path / "sim.jsonl"
+        Simulation(sim_net, journal=original).run(sim_jobs)
+        replay = read_journal(original)
+        assert replay.header["config"]["planner"] == "monolithic"
+        header = dict(replay.header)
+        header["config"] = dict(header["config"], planner="sharded")
+        forged = tmp_path / "sharded.jsonl"
+        with EpochJournal.create(forged, header) as journal:
+            for entry in replay.entries:
+                journal.append(entry)
+        with pytest.raises(ValidationError, match="planner 'sharded'"):
+            Simulation.resume(forged)
+
 
 class TestCrashInjector:
     def test_unknown_point_rejected(self):
