@@ -9,8 +9,8 @@ about the answers.  This benchmark pins both halves of that claim:
 
 * **RET probe loop** — an overloaded calibrated workload forces a full
   bisection on ``b``; the warm engine must be at least
-  ``RET_SPEEDUP_FLOOR``× faster than ``ModelEngine.cold`` *and* return
-  the identical extension and assignment.
+  ``RET_SPEEDUP_FLOOR``× faster than a ``warm_start=False`` engine
+  *and* return the identical extension and assignment.
 * **Multi-epoch simulate (Abilene)** — the controller re-plans a
   book-ahead reservation workload every epoch.  Warm must be at least
   ``SIM_SPEEDUP_FLOOR``× faster, every epoch after the first must
@@ -35,7 +35,7 @@ import numpy as np
 import pytest
 import scipy
 
-from repro import Simulation, Telemetry, serialization
+from repro import NULL_TELEMETRY, Simulation, Telemetry, serialization
 from repro.analysis import Table
 from repro.core.ret import solve_ret
 from repro.network.waxman import waxman_network
@@ -148,16 +148,16 @@ def _case_ret_probe_loop():
     network, jobs = _ret_instance()
     telemetry = Telemetry()
 
-    def run(warm_start, tel=None):
-        return solve_ret(
-            network,
-            jobs,
-            slice_length=RET_SLICE_LENGTH,
-            b_max=RET_B_MAX,
-            search_tol=RET_SEARCH_TOL,
-            telemetry=tel,
-            warm_start=warm_start,
-        )
+    def run(warm_start, collector=NULL_TELEMETRY):
+        with collector:
+            return solve_ret(
+                network,
+                jobs,
+                slice_length=RET_SLICE_LENGTH,
+                b_max=RET_B_MAX,
+                search_tol=RET_SEARCH_TOL,
+                warm_start=warm_start,
+            )
 
     cold_s, cold = _time_best_of(lambda: run(False))
     warm_s, warm = _time_best_of(lambda: run(True, telemetry))
@@ -213,10 +213,8 @@ def _simulate_case(network, jobs):
         "warm and cold simulations diverged"
     )
 
-    telemetry = Telemetry()
-    Simulation(
-        network, policy="extend", warm_start=True, telemetry=telemetry
-    ).run(jobs)
+    with Telemetry() as telemetry:
+        Simulation(network, policy="extend", warm_start=True).run(jobs)
     per_epoch = [
         {name: int(rec[name]) for name in _EPOCH_COUNTERS}
         | {"epoch": int(rec["epoch"])}

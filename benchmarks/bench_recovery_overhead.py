@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro import Simulation, Telemetry
+from repro import NULL_TELEMETRY, Simulation, Telemetry
 from repro.workload import WorkloadConfig, WorkloadGenerator
 from repro.analysis import Table
 
@@ -39,12 +39,11 @@ def instance():
     return network, jobs
 
 
-def run_once(network, jobs, journal_path=None, telemetry=None):
-    sim = Simulation(
-        network, policy="reduce", journal=journal_path, telemetry=telemetry
-    )
+def run_once(network, jobs, journal_path=None, collector=NULL_TELEMETRY):
+    sim = Simulation(network, policy="reduce", journal=journal_path)
     start = time.perf_counter()
-    sim.run(jobs)
+    with collector:
+        sim.run(jobs)
     return time.perf_counter() - start
 
 
@@ -59,7 +58,7 @@ def test_journal_overhead_under_10_percent(
     journaled = min(
         run_once(
             network, jobs, journal_path=tmp_path / f"run{i}.jsonl",
-            telemetry=telemetry if i == 0 else None,
+            collector=telemetry if i == 0 else NULL_TELEMETRY,
         )
         for i in range(REPEATS)
     )

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core.scheduler import ScheduleResult
 from ..errors import ValidationError
 

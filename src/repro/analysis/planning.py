@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Hashable
 
-import numpy as np
-
 from ..core.stage2 import solve_stage2_lp
 from ..core.throughput import solve_stage1
 from ..errors import ValidationError

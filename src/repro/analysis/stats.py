@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.metrics import per_slice_delivery
 from ..lp.model import ProblemStructure
 
 __all__ = ["ScheduleStatistics", "schedule_statistics"]

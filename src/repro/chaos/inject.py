@@ -77,14 +77,7 @@ class FaultyBackend:
         #: How many of them were faulted.
         self.injected = 0
 
-    def solve(
-        self,
-        problem,
-        *,
-        telemetry=None,
-        label=None,
-        budget=None,
-    ):
+    def solve(self, problem, *, label=None, budget=None):
         call = self.calls
         self.calls += 1
         mode = self._modes.get(call)
@@ -100,12 +93,7 @@ class FaultyBackend:
                 f"chaos: injected solver time-out at solve call {call}",
                 backend=self.name,
             )
-        solution = self.inner.solve(
-            problem,
-            telemetry=telemetry,
-            label=label,
-            budget=budget,
-        )
+        solution = self.inner.solve(problem, label=label, budget=budget)
         if mode == "wrong":
             self.injected += 1
             return self._corrupt(solution)

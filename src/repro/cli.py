@@ -450,27 +450,14 @@ def _cmd_workload(args) -> int:
     return 0
 
 
-def _profile_telemetry(args) -> Telemetry | None:
-    """A live collector when ``--profile`` was given, else None."""
-    return Telemetry() if getattr(args, "profile", False) else None
-
-
-def _print_profile(telemetry: Telemetry | None) -> None:
-    if telemetry is not None:
-        print()
-        print(telemetry.render())
-
-
 def _cmd_schedule(args) -> int:
     net = network_from_dict(load_json(args.network))
     jobs = _load_jobs(args.jobs)
-    telemetry = _profile_telemetry(args)
     scheduler = Scheduler(
         net,
         k_paths=args.k_paths,
         alpha=args.alpha,
         slice_length=args.slice_length,
-        telemetry=telemetry,
     )
     result = scheduler.schedule(jobs)
 
@@ -495,8 +482,6 @@ def _cmd_schedule(args) -> int:
         print()
         print(link_gantt(result.structure, result.x, max_links=15))
 
-    _print_profile(telemetry)
-
     if args.output:
         save_json(schedule_to_dict(result), args.output)
         print(f"\nwrote grant list to {args.output}")
@@ -506,7 +491,6 @@ def _cmd_schedule(args) -> int:
 def _cmd_ret(args) -> int:
     net = network_from_dict(load_json(args.network))
     jobs = _load_jobs(args.jobs)
-    telemetry = _profile_telemetry(args)
     result = solve_ret(
         net,
         jobs,
@@ -515,7 +499,6 @@ def _cmd_ret(args) -> int:
         b_max=args.b_max,
         delta=args.delta,
         mode=args.mode,
-        telemetry=telemetry,
         warm_start=not args.no_warm_start,
     )
     table = Table(["metric", "value"], title="RET (Algorithm 2) summary")
@@ -531,8 +514,6 @@ def _cmd_ret(args) -> int:
         ["avg end time LPDAR (slices)", round(result.average_end_time("lpdar"), 3)]
     )
     print(table.render())
-
-    _print_profile(telemetry)
 
     if args.output:
         import numpy as np
@@ -599,7 +580,6 @@ def _print_simulation_summary(result, title: str) -> None:
 def _cmd_simulate(args) -> int:
     net = network_from_dict(load_json(args.network))
     jobs = _load_jobs(args.jobs)
-    telemetry = _profile_telemetry(args)
     fault_schedule = None
     if args.faults:
         from .faults import parse_fault_spec
@@ -630,7 +610,6 @@ def _cmd_simulate(args) -> int:
         policy=args.policy,
         k_paths=args.k_paths,
         rejection=args.rejection,
-        telemetry=telemetry,
         fault_schedule=fault_schedule,
         journal=args.journal,
         solve_budget=solve_budget,
@@ -657,8 +636,6 @@ def _cmd_simulate(args) -> int:
         print()
         print(resilience_report(result, baseline).table().render())
 
-    _print_profile(telemetry)
-
     if args.output:
         from .serialization import simulation_to_dict
 
@@ -668,11 +645,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_resume(args) -> int:
-    telemetry = _profile_telemetry(args)
-    result = Simulation.resume(args.journal, telemetry=telemetry)
+    result = Simulation.resume(args.journal)
     _print_simulation_summary(result, f"resumed simulation ({args.journal})")
-
-    _print_profile(telemetry)
 
     if args.output:
         from .serialization import simulation_to_dict
@@ -707,7 +681,6 @@ def _cmd_serve(args) -> int:
     from .recovery import SimulatedCrash, SolveBudget
     from .service import ClosedLoopDriver, ReservationService
 
-    telemetry = _profile_telemetry(args)
     crash = _parse_crash_spec(args.crash) if args.crash else None
     solve_budget = (
         SolveBudget(args.solve_budget)
@@ -716,10 +689,7 @@ def _cmd_serve(args) -> int:
 
     if args.resume:
         service = ReservationService.resume(
-            args.resume,
-            telemetry=telemetry,
-            crash_injector=crash,
-            solve_budget=solve_budget,
+            args.resume, crash_injector=crash, solve_budget=solve_budget
         )
         print(
             f"recovered service from {args.resume}: epoch {service.epoch}, "
@@ -753,7 +723,6 @@ def _cmd_serve(args) -> int:
             solve_budget=solve_budget,
             crash_injector=crash,
             fault_schedule=fault_schedule,
-            telemetry=telemetry,
         )
 
     try:
@@ -807,7 +776,6 @@ def _cmd_serve(args) -> int:
         f"{book.num_accepted} reservations, {book.num_lost} lost, "
         f"digest {book.digest()[:16]}"
     )
-    _print_profile(telemetry)
 
     if args.output:
         save_json(
@@ -1070,8 +1038,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        if not getattr(args, "profile", False):
+            return command(args)
+        with Telemetry() as telemetry:
+            code = command(args)
+        print()
+        print(telemetry.render())
+        return code
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

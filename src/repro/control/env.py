@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 from ..errors import ValidationError
-from .kernel import EpochAction, EpochObservation, EpochOutcome
+from .kernel import EpochAction, EpochObservation
 from .policies import ControlPolicy, FixedPolicy
 
 __all__ = ["SchedulingEnv"]

@@ -15,7 +15,7 @@ The contract, per epoch:
 
 * :meth:`EpochKernel.observe` assembles an :class:`EpochObservation`
   from kernel state (time, epoch, fault cursor) and driver state
-  (backlog, residual volume, queue depth, cache/budget telemetry);
+  (backlog, residual volume, queue depth, solve budget);
 * :meth:`EpochKernel.decide` asks the attached
   :class:`~repro.control.policies.ControlPolicy` for an
   :class:`EpochAction` — the per-epoch knobs (fairness ``alpha`` start
@@ -40,19 +40,18 @@ each other; both import them from here now.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
 from ..errors import ValidationError
 from ..faults.events import FaultEvent, LinkDown, WavelengthDegrade
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs import current
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from ..faults.schedule import FaultSchedule
     from ..lp.solver import SolveBudget
-    from ..recovery.crash import CrashInjector
     from ..recovery.journal import EpochJournal
 
 __all__ = [
@@ -74,9 +73,8 @@ __all__ = [
 
 _EPS = 1e-9
 
-#: Telemetry counters snapshotted into every observation so adaptive
-#: policies can react to engine-reuse behaviour (cache starvation is a
-#: signal that ``k_paths`` churn is defeating the delta layer).
+#: Engine-reuse telemetry counters whose per-epoch deltas
+#: :meth:`EpochKernel.cache_delta` reports.
 CACHE_COUNTERS = (
     "structure_cache_hits",
     "structure_patch_hits",
@@ -177,9 +175,6 @@ class EpochObservation:
     budget_wall_s:
         Configured per-epoch solve budget in seconds (``None`` without
         a budget).
-    cache:
-        Snapshot of the engine-reuse telemetry counters
-        (:data:`CACHE_COUNTERS`).
     base:
         The driver's configured knobs — what
         :class:`~repro.control.policies.FixedPolicy` returns verbatim.
@@ -196,7 +191,6 @@ class EpochObservation:
     overloaded: bool | None
     last_zstar: float | None
     budget_wall_s: float | None
-    cache: dict
     base: EpochAction
 
 
@@ -516,7 +510,7 @@ class EpochKernel:
     policy:
         Optional :class:`~repro.control.policies.ControlPolicy`.
         ``None`` short-circuits the decide path entirely.
-    fault_schedule, crash_injector, solve_budget, engine, telemetry:
+    fault_schedule, crash_injector, solve_budget, engine:
         The shared infrastructure the kernel advances or fires on the
         drivers' behalf.  ``engine`` is only used to invalidate carried
         plans when a fault strikes.
@@ -532,7 +526,6 @@ class EpochKernel:
     crash_injector: object | None = None
     solve_budget: object | None = None
     engine: object | None = None
-    telemetry: Telemetry = NULL_TELEMETRY
     now: float = 0.0
     epoch: int = 0
     fault_idx: int = 0
@@ -614,10 +607,6 @@ class EpochKernel:
         failed = 0
         if self.fault_schedule is not None:
             failed = len(self.fault_schedule.failed_edges_at(self.now))
-        cache = {}
-        if self.telemetry.enabled:
-            for name in CACHE_COUNTERS:
-                cache[name] = float(self.telemetry.counters.get(name, 0.0))
         return EpochObservation(
             now=self.now,
             epoch=self.epoch,
@@ -634,7 +623,6 @@ class EpochKernel:
                 if self.solve_budget is not None
                 else None
             ),
-            cache=cache,
             base=self.base_action,
         )
 
@@ -688,7 +676,7 @@ class EpochKernel:
             journal.append_torn(entry)
             ci.fire("mid-journal", crash_epoch)
         journal.append(entry)
-        self.telemetry.count("journal_commits")
+        current().count("journal_commits")
         return True
 
     def advance(self, to: float | None = None) -> None:
@@ -703,9 +691,10 @@ class EpochKernel:
     # -- telemetry ------------------------------------------------------
     def cache_delta(self) -> dict:
         """Per-epoch delta of the engine-reuse counters (telemetry only)."""
+        counters = current().counters
         delta = {}
         for name in CACHE_COUNTERS:
-            total = self.telemetry.counters.get(name, 0.0)
+            total = counters.get(name, 0.0)
             delta[name] = total - self._cache_totals.get(name, 0.0)
             self._cache_totals[name] = total
         return delta

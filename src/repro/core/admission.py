@@ -20,10 +20,8 @@ coupling constraint (2)) can only raise the achievable common factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable
-
-import numpy as np
 
 from ..engine.engine import ModelEngine
 from ..errors import BudgetExceededError, ValidationError

@@ -26,7 +26,7 @@ removes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Hashable
 
 import numpy as np

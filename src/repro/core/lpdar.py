@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..lp.model import ProblemStructure
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs import current
 
 __all__ = ["GreedyOrder", "LpdarResult", "discretize", "greedy_adjust", "lpdar"]
 
@@ -58,7 +58,6 @@ def greedy_adjust(
     targets: np.ndarray | None = None,
     cap_at_target: bool = False,
     rng: np.random.Generator | None = None,
-    telemetry: Telemetry | None = None,
 ) -> np.ndarray:
     """Algorithm 1: grant leftover wavelengths to paths, slice by slice.
 
@@ -85,16 +84,16 @@ def greedy_adjust(
         faithful run.
     rng:
         Randomness source for ``order="random"``.
-    telemetry:
-        Optional :class:`~repro.obs.Telemetry`; the pass is timed under
-        a ``"greedy_adjust"`` span and a ``greedy_adjust`` record counts
-        the (slice, job, path) triples visited and wavelengths granted.
 
     Returns
     -------
     numpy.ndarray
         A new integer assignment, entrywise ``>= x_int``, that never
         exceeds any link capacity.
+
+    The pass is timed under a ``"greedy_adjust"`` telemetry span and a
+    ``greedy_adjust`` record counts the (slice, job, path) triples
+    visited and wavelengths granted.
     """
     x = np.asarray(x_int, dtype=float)
     if x.shape != (structure.num_cols,):
@@ -108,7 +107,7 @@ def greedy_adjust(
     if order not in ("paper", "deficit_first", "random"):
         raise ValidationError(f"unknown greedy order {order!r}")
 
-    telemetry = telemetry or NULL_TELEMETRY
+    telemetry = current()
     visited = 0
     grants_made = 0
     granted_wavelengths = 0
@@ -207,15 +206,12 @@ def lpdar(
     targets: np.ndarray | None = None,
     cap_at_target: bool = False,
     rng: np.random.Generator | None = None,
-    telemetry: Telemetry | None = None,
 ) -> LpdarResult:
     """Run the full LP -> LPD -> LPDAR pipeline on a fractional solution.
 
-    ``telemetry`` (optional) times the truncation under a
-    ``"discretize"`` span and forwards to :func:`greedy_adjust`.
+    The truncation is timed under a ``"discretize"`` telemetry span.
     """
-    telemetry = telemetry or NULL_TELEMETRY
-    with telemetry.span("discretize"):
+    with current().span("discretize"):
         x_lpd = discretize(x_lp)
     x_lpdar = greedy_adjust(
         structure,
@@ -224,7 +220,6 @@ def lpdar(
         targets=targets,
         cap_at_target=cap_at_target,
         rng=rng,
-        telemetry=telemetry,
     )
     return LpdarResult(
         x_lp=np.asarray(x_lp, dtype=float), x_lpd=x_lpd, x_lpdar=x_lpdar

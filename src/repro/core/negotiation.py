@@ -28,11 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Hashable
 
-import numpy as np
-
 from ..errors import ValidationError
 from ..network.graph import Network
-from ..timegrid import TimeGrid
 from ..workload.jobs import Job, JobSet
 from .ret import RetMode, solve_ret
 from .scheduler import Scheduler

@@ -35,7 +35,7 @@ from ..lp.solver import (
     SolveResilience,
     solve_lp,
 )
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs import current
 from ..network.graph import Network
 from ..network.paths import Path
 from ..timegrid import TimeGrid
@@ -99,14 +99,12 @@ def build_subret_lp(
 def solve_subret_lp(
     structure: ProblemStructure,
     gamma: Callable[[np.ndarray], np.ndarray] = quick_finish_gamma,
-    telemetry: Telemetry | None = None,
     resilience: SolveResilience | None = None,
     budget: SolveBudget | None = None,
 ) -> LPSolution:
     """Solve the SUB-RET LP relaxation; raises when infeasible."""
     return solve_lp(
         build_subret_lp(structure, gamma),
-        telemetry=telemetry,
         label="subret",
         resilience=resilience,
         budget=budget,
@@ -188,7 +186,6 @@ def solve_ret(
     path_sets: Mapping[tuple[Node, Node], Sequence[Path]] | None = None,
     mode: RetMode = "end_time",
     capacity_profile=None,
-    telemetry: Telemetry | None = None,
     resilience: SolveResilience | None = None,
     budget: SolveBudget | None = None,
     engine: "ModelEngine | None" = None,
@@ -235,11 +232,6 @@ def solve_ret(
         candidate extension's grid; slices past the profile's horizon
         use installed capacity.  Its slice length must match
         ``slice_length``.
-    telemetry:
-        Optional :class:`~repro.obs.Telemetry`.  The whole call is timed
-        under a ``"ret"`` span, and every candidate ``b`` the algorithm
-        probes leaves a ``ret_probe`` record — the binary-search trace —
-        plus a final ``ret_result`` record.
     resilience:
         Optional :class:`~repro.lp.solver.SolveResilience` forwarded to
         every SUB-RET probe's LP solve (retry / fallback chain).
@@ -271,6 +263,10 @@ def solve_ret(
         runs past ``b_max`` without completing every job.
     BudgetExceededError
         ``budget`` ran out between or during probes.
+
+    The whole call is timed under a ``"ret"`` telemetry span, and every
+    candidate ``b`` the algorithm probes leaves a ``ret_probe`` record —
+    the binary-search trace — plus a final ``ret_result`` record.
     """
     if b_max <= 0:
         raise ValidationError(f"b_max must be positive, got {b_max}")
@@ -280,13 +276,9 @@ def solve_ret(
         raise ValidationError(f"search_tol must be positive, got {search_tol}")
     if mode not in ("end_time", "interval"):
         raise ValidationError(f"unknown RET mode {mode!r}")
-    telemetry = telemetry or NULL_TELEMETRY
+    telemetry = current()
     if engine is None:
-        engine = (
-            ModelEngine(network, k_paths, telemetry=telemetry)
-            if warm_start
-            else ModelEngine.cold(network, k_paths, telemetry=telemetry)
-        )
+        engine = ModelEngine(network, k_paths, warm_start=warm_start)
     else:
         if engine.network is not network:
             raise ValidationError(
@@ -333,7 +325,6 @@ def solve_ret(
                 "subret",
                 lambda: build_subret_lp(structure, gamma),
                 cache=cacheable_gamma,
-                telemetry=telemetry,
                 resilience=resilience,
                 budget=budget,
                 label="subret",
@@ -425,24 +416,23 @@ def solve_ret(
 
         # Steps 2-5: round with LPDAR; extend by delta until all jobs finish.
         b = b_hat
-        current: tuple[ProblemStructure, LPSolution] | object | None = best
+        candidate: tuple[ProblemStructure, LPSolution] | object | None = best
         delta_steps = 0
         while True:
-            if current is _WITNESS:
+            if candidate is _WITNESS:
                 # The witness certified this b feasible but skipped its
                 # solve; the candidate became the rounding point after
                 # all, so solve the identical LP now (same structure,
                 # same optimum — the certificate only deferred it).
-                current = attempt(b, "bounds")
-            if current is not None:
-                structure, lp_solution = current
+                candidate = attempt(b, "bounds")
+            if candidate is not None:
+                structure, lp_solution = candidate
                 rounded = lpdar(
                     structure,
                     lp_solution.x,
                     order=order,
                     cap_at_target=cap_at_target,
                     rng=rng,
-                    telemetry=telemetry,
                 )
                 delivered = structure.delivered(rounded.x_lpdar)
                 if np.all(delivered >= structure.demands - COMPLETION_TOL):
@@ -473,4 +463,4 @@ def solve_ret(
             # LP infeasibility above b_hat can only come from slice rounding
             # at the window edge; attempt() returning None just means another
             # delta step is needed.
-            current = attempt(b, "delta")
+            candidate = attempt(b, "delta")

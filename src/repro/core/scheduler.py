@@ -21,7 +21,7 @@ from ..errors import BudgetExceededError, ScheduleError, ValidationError
 from ..lp.model import ProblemStructure
 from ..lp.solver import LPSolution, SolveBudget, SolveResilience
 from ..network.graph import Network
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs import current
 from ..network.paths import Path
 from ..timegrid import TimeGrid
 from ..workload.jobs import JobSet
@@ -228,11 +228,6 @@ class Scheduler:
     weights:
         Optional per-job stage-2 weights (default: the paper's size
         weighting).
-    telemetry:
-        Optional :class:`~repro.obs.Telemetry` shared by every
-        :meth:`schedule` call: structure assembly, stage-1/stage-2
-        solves and the LPDAR rounding all report into it under a
-        ``"schedule"`` span.  ``None`` (the default) measures nothing.
     resilience:
         Optional :class:`~repro.lp.solver.SolveResilience` forwarded to
         every stage-1/stage-2 LP solve, enabling the bounded retry /
@@ -261,6 +256,10 @@ class Scheduler:
         committed schedule.  Off by default: the bundled backends clamp
         their output into bounds, and the check costs two sparse
         mat-vecs per solve.
+
+    Each :meth:`schedule` call reports structure assembly, the
+    stage-1/stage-2 solves and the LPDAR rounding to the
+    :func:`~repro.obs.current` collector under a ``"schedule"`` span.
     """
 
     def __init__(
@@ -274,7 +273,6 @@ class Scheduler:
         greedy_order: GreedyOrder = "paper",
         cap_at_target: bool = False,
         rng: np.random.Generator | None = None,
-        telemetry: Telemetry | None = None,
         resilience: SolveResilience | None = None,
         budget: SolveBudget | None = None,
         engine: "ModelEngine | None" = None,
@@ -298,12 +296,11 @@ class Scheduler:
         self.greedy_order = greedy_order
         self.cap_at_target = cap_at_target
         self.rng = rng
-        self.telemetry = telemetry or NULL_TELEMETRY
         self.resilience = resilience
         self.budget = budget
         self.verify_solutions = verify_solutions
         if engine is None:
-            engine = ModelEngine(network, k_paths, telemetry=self.telemetry)
+            engine = ModelEngine(network, k_paths)
         else:
             if engine.network is not network:
                 raise ValidationError(
@@ -392,7 +389,7 @@ class Scheduler:
         budget: SolveBudget | None,
     ) -> ScheduleResult:
         """The scheduling pipeline proper (see :meth:`schedule`)."""
-        telemetry = self.telemetry
+        telemetry = current()
         budget = budget if budget is not None else self.budget
         if budget is not None:
             budget.ensure_started()
@@ -406,10 +403,7 @@ class Scheduler:
                 )
             try:
                 stage1 = solve_stage1(
-                    structure,
-                    telemetry=telemetry,
-                    resilience=self.resilience,
-                    budget=budget,
+                    structure, resilience=self.resilience, budget=budget
                 )
             except BudgetExceededError as exc:
                 # Rung 3: nothing solved; greedy from an empty assignment.
@@ -429,7 +423,6 @@ class Scheduler:
                         stage1.zstar,
                         alpha,
                         weights,
-                        telemetry=telemetry,
                         resilience=self.resilience,
                         budget=budget,
                     )
@@ -453,7 +446,6 @@ class Scheduler:
                     order=self.greedy_order,
                     cap_at_target=self.cap_at_target,
                     rng=self.rng,
-                    telemetry=telemetry,
                 )
                 result = ScheduleResult(
                     structure=structure,
@@ -494,7 +486,7 @@ class Scheduler:
             structure, np.asarray(x, dtype=float), which="lp"
         )
         if not report.ok:
-            self.telemetry.count("solver_solutions_rejected")
+            current().count("solver_solutions_rejected")
             raise ScheduleError(
                 f"{stage} solver returned an invalid solution, rejected by "
                 f"verify_schedule before commit:\n{report.explain()}"
@@ -519,7 +511,6 @@ class Scheduler:
         results (``zstar = 0``, zero iterations) stand in for the solves
         that never ran.
         """
-        telemetry = self.telemetry
         n = structure.num_cols
         frac = (
             stage1.x if (level == "lpd_greedy" and stage1 is not None)
@@ -532,7 +523,6 @@ class Scheduler:
             order=self.greedy_order,
             cap_at_target=self.cap_at_target,
             rng=self.rng,
-            telemetry=telemetry,
         )
         rounded = LpdarResult(
             x_lp=np.asarray(frac, dtype=float), x_lpd=x_lpd, x_lpdar=x_lpdar
@@ -551,6 +541,7 @@ class Scheduler:
             alpha=alpha,
             solution=LPSolution(x=rounded.x_lp, objective=frac_obj),
         )
+        telemetry = current()
         telemetry.count("degraded_solves")
         telemetry.count(f"degraded_solves_{level}")
         telemetry.record("degraded_solve", level=level, reason=reason)

@@ -32,7 +32,7 @@ from ..lp.solver import (
     SolveResilience,
     solve_lp,
 )
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs import current
 
 __all__ = ["Stage2Result", "build_stage2_lp", "solve_stage2_lp", "objective_weights"]
 
@@ -137,24 +137,21 @@ def solve_stage2_lp(
     zstar: float,
     alpha: float = 0.1,
     weights: np.ndarray | None = None,
-    telemetry: Telemetry | None = None,
     resilience: SolveResilience | None = None,
     budget: SolveBudget | None = None,
 ) -> Stage2Result:
     """Solve the stage-2 LP relaxation.
 
-    ``telemetry`` (optional) times assembly and solve under a
-    ``"stage2"`` span; ``resilience`` (optional) enables
+    Assembly and solve are timed under a ``"stage2"`` telemetry span;
+    ``resilience`` (optional) enables
     :func:`~repro.lp.solver.solve_lp`'s retry / fallback chain;
     ``budget`` (optional) forwards a
     :class:`~repro.lp.solver.SolveBudget` deadline to the solve.
     """
-    telemetry = telemetry or NULL_TELEMETRY
-    with telemetry.span("stage2"):
+    with current().span("stage2"):
         problem = build_stage2_lp(structure, zstar, alpha, weights)
         solution = solve_lp(
             problem,
-            telemetry=telemetry,
             label="stage2",
             resilience=resilience,
             budget=budget,

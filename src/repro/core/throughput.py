@@ -26,7 +26,7 @@ from ..lp.solver import (
     SolveResilience,
     solve_lp,
 )
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs import current
 
 __all__ = ["Stage1Result", "build_stage1_lp", "solve_stage1"]
 
@@ -87,7 +87,6 @@ def build_stage1_lp(structure: ProblemStructure) -> LinearProgram:
 
 def solve_stage1(
     structure: ProblemStructure,
-    telemetry: Telemetry | None = None,
     resilience: SolveResilience | None = None,
     budget: SolveBudget | None = None,
 ) -> Stage1Result:
@@ -95,18 +94,16 @@ def solve_stage1(
 
     The problem is always feasible (``x = 0, Z = 0``) and bounded
     (capacities are finite and every job's demand is positive), so this
-    never raises for modelling reasons.  ``telemetry`` (optional) times
-    assembly and solve under a ``"stage1"`` span; ``resilience``
+    never raises for modelling reasons.  Assembly and solve are timed
+    under a ``"stage1"`` telemetry span; ``resilience``
     (optional) enables :func:`~repro.lp.solver.solve_lp`'s bounded
     retry / backend-fallback chain; ``budget`` (optional) forwards a
     :class:`~repro.lp.solver.SolveBudget` deadline to the solve.
     """
-    telemetry = telemetry or NULL_TELEMETRY
-    with telemetry.span("stage1"):
+    with current().span("stage1"):
         problem = build_stage1_lp(structure)
         solution = solve_lp(
             problem,
-            telemetry=telemetry,
             label="stage1",
             resilience=resilience,
             budget=budget,

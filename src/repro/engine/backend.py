@@ -35,7 +35,7 @@ from ..lp.solver import (
     _record_solve,
     solve_highs,
 )
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs import current
 
 __all__ = [
     "SolverBackend",
@@ -57,7 +57,6 @@ class SolverBackend(Protocol):
         self,
         problem: LinearProgram,
         *,
-        telemetry: Telemetry | None = None,
         label: str | None = None,
         budget: SolveBudget | None = None,
     ) -> LPSolution:
@@ -75,11 +74,10 @@ class HighsBackend:
         self,
         problem: LinearProgram,
         *,
-        telemetry: Telemetry | None = None,
         label: str | None = None,
         budget: SolveBudget | None = None,
     ) -> LPSolution:
-        return solve_highs(problem, telemetry or NULL_TELEMETRY, label, budget)
+        return solve_highs(problem, label, budget)
 
 
 class SimplexBackend:
@@ -91,17 +89,15 @@ class SimplexBackend:
         self,
         problem: LinearProgram,
         *,
-        telemetry: Telemetry | None = None,
         label: str | None = None,
         budget: SolveBudget | None = None,
     ) -> LPSolution:
-        telemetry = telemetry or NULL_TELEMETRY
         # The pure-Python simplex has no native time limit; an overrun
         # here is caught by the next cooperative check rather than
         # discarding the (valid) solution it just produced.
-        with telemetry.span("lp_solve") as span:
+        with current().span("lp_solve") as span:
             solution = simplex.simplex_solve(problem)
-        _record_solve(telemetry, problem, solution, self.name, span.elapsed, label)
+        _record_solve(problem, solution, self.name, span.elapsed, label)
         return solution
 
 

@@ -38,7 +38,7 @@ import scipy.sparse as sp
 from ..lp.model import ProblemStructure, job_capacity_fragment
 from ..network.graph import Network
 from ..network.paths import Path
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs import current
 from ..timegrid import TimeGrid
 from ..workload.jobs import JobSet
 
@@ -223,7 +223,6 @@ def patch_structure(
     path_sets: Mapping[tuple[Node, Node], Sequence[Path]],
     capacity_profile=None,
     fragment_cache: dict | None = None,
-    telemetry: Telemetry = NULL_TELEMETRY,
 ) -> ProblemStructure | None:
     """A structure for ``(jobs, grid)`` patched from a nearby ``donor``.
 
@@ -249,6 +248,7 @@ def patch_structure(
     donor's assembled matrices are shared outright, along with its
     rhs-independent ``capacity_floor`` assembly block.
     """
+    telemetry = current()
     if capacity_profile is not None or donor.capacity_profile is not None:
         return None
     if donor.k_paths != k_paths or len(jobs) == 0:

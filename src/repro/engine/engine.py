@@ -47,7 +47,7 @@ from ..lp.solver import (
 )
 from ..network.graph import Network
 from ..network.paths import Path
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs import current
 from ..timegrid import TimeGrid
 from ..workload.jobs import JobSet
 from .backend import get_backend
@@ -74,20 +74,17 @@ class ModelEngine:
         references this one graph.
     k_paths:
         Paths resolved per OD pair at the topology layer.
-    telemetry:
-        Optional collector shared by all three layers (counters:
-        ``structure_cache_hits``, ``cold_builds``, ``memo_hits``,
-        ``engine_solves``, ``path_cache_hits`` / ``_misses``,
-        ``layout_fragment_hits`` / ``_builds``).
     backend:
         Registered backend name used by :meth:`cached_solve`.
     warm_start:
-        Enables the solve-layer memo and the carried plan.  Off, every
-        solve runs from scratch (results are identical either way; see
-        the module docstring).
-    cache_structures, cache_fragments, max_cached_structures,
-    max_cached_fragments:
-        Layout-layer reuse knobs (see
+        Enables every reuse layer: the structure and fragment caches,
+        the solve-layer memo and the carried plan.  Off, every structure
+        is built and every LP solved from scratch — the baseline the
+        benchmarks compare against and what the CLI ``--no-warm-start``
+        flag selects (results are identical either way; see the module
+        docstring).
+    max_cached_structures, max_cached_fragments:
+        Layout-layer LRU bounds (see
         :class:`~repro.engine.layout.LayoutLayer`).
     max_cached_solutions:
         LRU bound on memoized solutions.
@@ -96,6 +93,11 @@ class ModelEngine:
         itself passes none — lets a front-end (e.g. the reservation
         service) make *every* solve routed through its engine
         resilient, admission probes included.
+
+    All three layers count into the :func:`~repro.obs.current` collector
+    (``structure_cache_hits``, ``cold_builds``, ``memo_hits``,
+    ``engine_solves``, ``path_cache_hits`` / ``_misses``,
+    ``layout_fragment_hits`` / ``_builds``).
     """
 
     def __init__(
@@ -103,11 +105,8 @@ class ModelEngine:
         network: Network,
         k_paths: int = 4,
         *,
-        telemetry: Telemetry | None = None,
         backend: str = "highs",
         warm_start: bool = True,
-        cache_structures: bool = True,
-        cache_fragments: bool = True,
         max_cached_structures: int = 64,
         max_cached_fragments: int = 512,
         max_cached_solutions: int = 256,
@@ -117,13 +116,10 @@ class ModelEngine:
         self.backend = backend
         self.warm_start = bool(warm_start)
         self.resilience = resilience
-        self.telemetry = telemetry or NULL_TELEMETRY
-        self.topology = TopologyLayer(network, k_paths, telemetry=self.telemetry)
+        self.topology = TopologyLayer(network, k_paths)
         self.layout = LayoutLayer(
             self.topology,
-            telemetry=self.telemetry,
-            cache_structures=cache_structures,
-            cache_fragments=cache_fragments,
+            warm_start=self.warm_start,
             max_structures=max_cached_structures,
             max_fragments=max_cached_fragments,
         )
@@ -134,30 +130,6 @@ class ModelEngine:
         self.max_cached_solutions = int(max_cached_solutions)
         self._solutions: OrderedDict[tuple, object] = OrderedDict()
         self._carried: CarriedPlan | None = None
-
-    @classmethod
-    def cold(
-        cls,
-        network: Network,
-        k_paths: int = 4,
-        *,
-        telemetry: Telemetry | None = None,
-        backend: str = "highs",
-    ) -> "ModelEngine":
-        """A fully cold engine — no reuse at any layer.
-
-        This is the from-scratch baseline the benchmarks compare
-        against, and what the CLI ``--no-warm-start`` flag selects.
-        """
-        return cls(
-            network,
-            k_paths,
-            telemetry=telemetry,
-            backend=backend,
-            warm_start=False,
-            cache_structures=False,
-            cache_fragments=False,
-        )
 
     @property
     def network(self) -> Network:
@@ -264,7 +236,7 @@ class ModelEngine:
         if not self.warm_start:
             return
         self._carried = CarriedPlan.from_assignment(structure, x)
-        self.telemetry.count("plans_carried")
+        current().count("plans_carried")
 
     @property
     def has_carried_plan(self) -> bool:
@@ -280,7 +252,7 @@ class ModelEngine:
         """
         if self._carried is not None:
             self._carried = None
-            self.telemetry.count("carried_invalidations")
+            current().count("carried_invalidations")
 
     def certify_feasible(
         self,
@@ -300,9 +272,7 @@ class ModelEngine:
         ok = self._carried.certifies(
             self.network, jobs, grid, path_sets, self.k_paths
         )
-        self.telemetry.count(
-            "ret_witness_hits" if ok else "ret_witness_misses"
-        )
+        current().count("ret_witness_hits" if ok else "ret_witness_misses")
         return ok
 
     # ------------------------------------------------------------------
@@ -315,7 +285,6 @@ class ModelEngine:
         build: Callable[[], LinearProgram],
         *,
         cache: bool = True,
-        telemetry: Telemetry | None = None,
         resilience: SolveResilience | None = None,
         budget: SolveBudget | None = None,
         label: str | None = None,
@@ -332,7 +301,7 @@ class ModelEngine:
         objective the key cannot see), always solve, and every solve
         starts cold.
         """
-        telemetry = telemetry or self.telemetry
+        telemetry = current()
         key = None
         if self.warm_start and cache:
             signature = getattr(structure, "_engine_key", None)
@@ -347,9 +316,9 @@ class ModelEngine:
                     return hit
             else:
                 # A memoizable call over a structure the layout cache
-                # never keyed (built outside the engine, or with
-                # structure caching off) silently falls through to a
-                # cold solve; make the bypass visible in telemetry.
+                # never keyed (built outside the engine) silently falls
+                # through to a cold solve; make the bypass visible in
+                # telemetry.
                 telemetry.count("engine_memo_bypass")
         if resilience is None:
             resilience = self.resilience
@@ -357,7 +326,6 @@ class ModelEngine:
             solution = solve_lp(
                 build(),
                 backend=self.backend,
-                telemetry=telemetry,
                 label=label or kind,
                 resilience=resilience,
                 budget=budget,
@@ -401,7 +369,6 @@ def build_structure(
     path_sets: Mapping[tuple[Node, Node], Sequence[Path]] | None = None,
     capacity_profile=None,
     banned_edges: frozenset[int] = frozenset(),
-    telemetry: Telemetry | None = None,
 ) -> ProblemStructure:
     """One-shot shared factory: a structure via a transient engine.
 
@@ -410,7 +377,7 @@ def build_structure(
     (the scheduler, the simulator, RET) hold a :class:`ModelEngine` and
     reap the cross-build reuse.
     """
-    engine = ModelEngine(network, k_paths, telemetry=telemetry)
+    engine = ModelEngine(network, k_paths)
     return engine.structure(
         jobs,
         grid,

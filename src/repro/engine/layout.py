@@ -36,7 +36,7 @@ from collections.abc import Hashable, Mapping, Sequence
 from ..errors import ValidationError
 from ..lp.model import ProblemStructure
 from ..network.paths import Path
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs import current
 from ..timegrid import TimeGrid
 from ..workload.jobs import JobSet
 from .delta import patch_structure
@@ -139,32 +139,32 @@ class LayoutLayer:
     topology:
         The :class:`~repro.engine.topology.TopologyLayer` below; supplies
         the network, ``k_paths`` and cached path resolution.
-    telemetry:
-        Optional collector: exact hits count as ``structure_cache_hits``,
-        real builds as ``cold_builds`` (fragment-level reuse counts
-        inside :class:`~repro.lp.model.ProblemStructure` as
-        ``layout_fragment_hits`` / ``layout_fragment_builds``).
-    cache_structures, cache_fragments:
-        Independently disable either reuse level (the from-scratch
-        baseline :meth:`repro.engine.ModelEngine.cold` turns both off).
-        Structure caching also enables delta *patching*: an exact-cache
-        miss tries the most recent cached structures as donors
+    warm_start:
+        Enables both reuse levels: the exact-signature structure cache
+        and the per-job fragment cache.  Structure caching also enables
+        delta *patching*: an exact-cache miss tries the most recent
+        cached structures as donors
         (:func:`repro.engine.delta.patch_structure`) before paying a
-        cold build, counted as ``structure_patch_hits``.
+        cold build.  Off, every structure is built from scratch (the
+        baseline ``ModelEngine(warm_start=False)`` selects).
     max_structures:
         LRU bound on retained structures (matrices are the bulk of an
         instance's memory; old epochs must not accumulate forever).
     max_fragments:
         LRU bound on retained per-job fragments (see
         :class:`FragmentCache`).
+
+    Telemetry counters: exact hits count as ``structure_cache_hits``,
+    patches as ``structure_patch_hits``, real builds as ``cold_builds``
+    (fragment-level reuse counts inside
+    :class:`~repro.lp.model.ProblemStructure` as ``layout_fragment_hits``
+    / ``layout_fragment_builds``).
     """
 
     def __init__(
         self,
         topology: TopologyLayer,
-        telemetry: Telemetry | None = None,
-        cache_structures: bool = True,
-        cache_fragments: bool = True,
+        warm_start: bool = True,
         max_structures: int = 64,
         max_fragments: int = 512,
     ) -> None:
@@ -173,14 +173,12 @@ class LayoutLayer:
                 f"max_structures must be >= 1, got {max_structures}"
             )
         self.topology = topology
-        self.telemetry = telemetry or NULL_TELEMETRY
-        self.cache_structures = bool(cache_structures)
-        self.cache_fragments = bool(cache_fragments)
+        self.warm_start = bool(warm_start)
         self.max_structures = int(max_structures)
         self.max_fragments = int(max_fragments)
         self._structures: OrderedDict[tuple, ProblemStructure] = OrderedDict()
         self._fragments: FragmentCache | None = (
-            FragmentCache(max_fragments) if self.cache_fragments else None
+            FragmentCache(max_fragments) if self.warm_start else None
         )
 
     @property
@@ -213,20 +211,21 @@ class LayoutLayer:
             _paths_key(path_sets),
             _profile_key(capacity_profile),
         )
-        if self.cache_structures:
+        telemetry = current()
+        if self.warm_start:
             # Exact key: the structure object (which carries the raw
             # jobs) is reused only for a byte-for-byte identical request.
             key = (_jobs_key(jobs), *shared)
             hit = self._structures.get(key)
             if hit is not None:
                 self._structures.move_to_end(key)
-                self.telemetry.count("structure_cache_hits")
+                telemetry.count("structure_cache_hits")
                 return hit
         built = None
         if key is not None and capacity_profile is None:
             built = self._try_patch(jobs, grid, path_sets)
         if built is not None:
-            self.telemetry.count("structure_patch_hits")
+            telemetry.count("structure_patch_hits")
         else:
             built = ProblemStructure(
                 self.network,
@@ -235,10 +234,9 @@ class LayoutLayer:
                 self.topology.k_paths,
                 path_sets=path_sets,
                 capacity_profile=capacity_profile,
-                telemetry=self.telemetry,
                 fragment_cache=self._fragments,
             )
-            self.telemetry.count("cold_builds")
+            telemetry.count("cold_builds")
         if key is not None:
             # Solve-memo key: discretized windows instead of raw floats,
             # so probes that only differ below slice granularity share
@@ -264,7 +262,7 @@ class LayoutLayer:
         if not self._structures:
             return None
         tried = 0
-        with self.telemetry.span("structure_patch"):
+        with current().span("structure_patch"):
             for donor in reversed(self._structures.values()):
                 patched = patch_structure(
                     donor,
@@ -273,7 +271,6 @@ class LayoutLayer:
                     self.topology.k_paths,
                     path_sets,
                     fragment_cache=self._fragments,
-                    telemetry=self.telemetry,
                 )
                 if patched is not None:
                     return patched

@@ -16,7 +16,7 @@ from collections.abc import Hashable, Iterable
 from ..errors import ValidationError
 from ..network.graph import Network
 from ..network.paths import Path, build_path_sets
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs import current
 
 __all__ = ["TopologyLayer"]
 
@@ -33,22 +33,16 @@ class TopologyLayer:
         built on it) is bound to this one graph.
     k_paths:
         Paths resolved per origin-destination pair.
-    telemetry:
-        Optional collector; hits and misses count under
-        ``path_cache_hits`` / ``path_cache_misses``.
+
+    Cache hits and misses count as ``path_cache_hits`` /
+    ``path_cache_misses`` telemetry.
     """
 
-    def __init__(
-        self,
-        network: Network,
-        k_paths: int = 4,
-        telemetry: Telemetry | None = None,
-    ) -> None:
+    def __init__(self, network: Network, k_paths: int = 4) -> None:
         if k_paths < 1:
             raise ValidationError(f"k_paths must be >= 1, got {k_paths}")
         self.network = network
         self.k_paths = int(k_paths)
-        self.telemetry = telemetry or NULL_TELEMETRY
         self._cache: dict[tuple, tuple[Path, ...]] = {}
 
     def path_sets(
@@ -64,6 +58,7 @@ class TopologyLayer:
         disconnection is itself a stable fact of the topology).
         """
         banned = frozenset(banned_edges)
+        telemetry = current()
         out: dict[tuple[Node, Node], list[Path]] = {}
         missing: list[tuple[Node, Node]] = []
         for pair in od_pairs:
@@ -72,7 +67,7 @@ class TopologyLayer:
             cached = self._cache.get((pair, banned))
             if cached is not None:
                 out[pair] = list(cached)
-                self.telemetry.count("path_cache_hits")
+                telemetry.count("path_cache_hits")
             else:
                 out[pair] = []  # placeholder; filled below, dedupes repeats
                 missing.append(pair)
@@ -84,7 +79,7 @@ class TopologyLayer:
                 pset = tuple(fresh.get(pair) or ())
                 self._cache[(pair, banned)] = pset
                 out[pair] = list(pset)
-                self.telemetry.count("path_cache_misses")
+                telemetry.count("path_cache_misses")
         return out
 
     def clear(self) -> None:

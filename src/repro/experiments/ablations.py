@@ -9,8 +9,6 @@ visitation order, and the implicit full-wavelength-conversion model.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.lpdar import lpdar
 from ..core.metrics import jains_fairness_index
 from ..core.realization import realize_schedule

@@ -13,12 +13,10 @@ instead of a minute) that preserves the qualitative shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable, Sequence
-
-import numpy as np
+from collections.abc import Callable
 
 from ..analysis.reporting import Table
-from ..core.lpdar import discretize, greedy_adjust, lpdar
+from ..core.lpdar import discretize, greedy_adjust
 from ..core.ret import solve_ret
 from ..core.stage2 import solve_stage2_lp
 from ..core.throughput import solve_stage1
@@ -190,17 +188,15 @@ def fig3_computation_time(
             paths = shared_path_sets(network, jobs)
             grid = TimeGrid.covering(jobs.max_end())
             structure = build_structure(network, jobs, grid, 4, path_sets=paths)
-            telemetry = Telemetry()
-            with telemetry.span("lp"):
-                zstar = solve_stage1(structure, telemetry=telemetry).zstar
-                stage2 = solve_stage2_lp(
-                    structure, zstar, alpha=0.1, telemetry=telemetry
-                )
+            with Telemetry() as telemetry:
+                with telemetry.span("lp"):
+                    zstar = solve_stage1(structure).zstar
+                    stage2 = solve_stage2_lp(structure, zstar, alpha=0.1)
+                with telemetry.span("lpd"):
+                    x_lpd = discretize(stage2.x)
+                greedy_adjust(structure, x_lpd)
             t_lp = telemetry.seconds("lp")
-            with telemetry.span("lpd"):
-                x_lpd = discretize(stage2.x)
             t_lpd = t_lp + telemetry.seconds("lpd")
-            greedy_adjust(structure, x_lpd, telemetry=telemetry)
             t_lpdar = t_lpd + telemetry.seconds("greedy_adjust")
             yield (
                 num_jobs,

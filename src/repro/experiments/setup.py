@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core.lpdar import lpdar
 from ..core.stage2 import solve_stage2_lp
 from ..core.throughput import solve_stage1

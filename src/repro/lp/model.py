@@ -37,7 +37,7 @@ import scipy.sparse as sp
 
 from ..errors import ValidationError
 from ..network.graph import Network
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs import current
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.capacity import CapacityProfile
@@ -101,10 +101,6 @@ class ProblemStructure:
     path_sets:
         Optional precomputed paths per OD pair (e.g. reused across RET
         iterations); overrides ``k_paths`` lookup for pairs present.
-    telemetry:
-        Optional :class:`~repro.obs.Telemetry`; assembly is timed under a
-        ``"structure_build"`` span and a ``structure`` record captures
-        the instance's dimensions (jobs, columns, capacity rows, nnz).
     fragment_cache:
         Optional mutable mapping shared across builds (normally owned by
         :class:`~repro.engine.layout.LayoutLayer`): per-job capacity
@@ -116,7 +112,10 @@ class ProblemStructure:
     Notes
     -----
     The structure is immutable after construction; all solver front-ends
-    in :mod:`repro.core` take it by reference.
+    in :mod:`repro.core` take it by reference.  Assembly is timed under a
+    ``"structure_build"`` telemetry span and a ``structure`` record
+    captures the instance's dimensions (jobs, columns, capacity rows,
+    nnz).
     """
 
     def __init__(
@@ -127,10 +126,9 @@ class ProblemStructure:
         k_paths: int = 4,
         path_sets: Mapping[tuple[Node, Node], Sequence[Path]] | None = None,
         capacity_profile: "CapacityProfile | None" = None,
-        telemetry: Telemetry | None = None,
         fragment_cache: dict | None = None,
     ) -> None:
-        telemetry = telemetry or NULL_TELEMETRY
+        telemetry = current()
         with telemetry.span("structure_build"):
             self._build(
                 network,
@@ -140,7 +138,6 @@ class ProblemStructure:
                 path_sets,
                 capacity_profile,
                 fragment_cache,
-                telemetry,
             )
         telemetry.record(
             "structure",
@@ -161,7 +158,6 @@ class ProblemStructure:
         path_sets: Mapping[tuple[Node, Node], Sequence[Path]] | None,
         capacity_profile: "CapacityProfile | None",
         fragment_cache: dict | None = None,
-        telemetry: Telemetry = NULL_TELEMETRY,
     ) -> None:
         if len(jobs) == 0:
             raise ValidationError("cannot build a problem over zero jobs")
@@ -260,17 +256,13 @@ class ProblemStructure:
         self.demands.setflags(write=False)
 
         self._assembly_cache: dict = {}
-        self._build_capacity_block(fragment_cache, telemetry)
+        self._build_capacity_block(fragment_cache)
         self._build_demand_block()
 
     # ------------------------------------------------------------------
     # Constraint blocks
     # ------------------------------------------------------------------
-    def _build_capacity_block(
-        self,
-        fragment_cache: dict | None = None,
-        telemetry: Telemetry = NULL_TELEMETRY,
-    ) -> None:
+    def _build_capacity_block(self, fragment_cache: dict | None = None) -> None:
         """Rows of constraint (3): one per (edge, slice) actually used.
 
         Per-job sparsity patterns come from
@@ -282,6 +274,7 @@ class ProblemStructure:
         num_slices = self.grid.num_slices
         row_keys_parts: list[np.ndarray] = []
         col_parts: list[np.ndarray] = []
+        telemetry = current()
         for i in range(len(self.jobs)):
             span = int(self.span[i])
             fragment = None

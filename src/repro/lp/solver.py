@@ -54,7 +54,7 @@ in :class:`~repro.core.scheduler.Scheduler`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -74,7 +74,7 @@ from ..errors import (
     UnboundedProblemError,
     ValidationError,
 )
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs import current
 
 __all__ = [
     "LinearProgram",
@@ -361,7 +361,6 @@ def _matrix_nnz(matrix) -> int:
 
 
 def _record_solve(
-    telemetry: Telemetry,
     problem: LinearProgram,
     solution: LPSolution,
     backend: str,
@@ -369,6 +368,7 @@ def _record_solve(
     label: str | None,
 ) -> None:
     """Append one ``lp_solve`` record describing a finished solve."""
+    telemetry = current()
     num_ub = problem.a_ub.shape[0] if problem.a_ub is not None else 0
     num_eq = problem.a_eq.shape[0] if problem.a_eq is not None else 0
     telemetry.record(
@@ -472,7 +472,6 @@ def _perturbed(problem: LinearProgram, relax: float) -> LinearProgram:
 def solve_lp(
     problem: LinearProgram,
     backend: str = "highs",
-    telemetry: Telemetry | None = None,
     label: str | None = None,
     resilience: SolveResilience | None = None,
     budget: SolveBudget | None = None,
@@ -492,14 +491,12 @@ def solve_lp(
         :mod:`repro.lp.simplex`, for small instances and auditing; it
         does not report duals).  Unknown names raise
         :class:`~repro.errors.ValidationError`.
-    telemetry:
-        Optional :class:`~repro.obs.Telemetry` collector; when given,
-        the solve is timed under an ``"lp_solve"`` span and an
-        ``lp_solve`` record captures dimensions, nnz, iteration count,
-        backend and status.  ``None`` (the default) measures nothing.
     label:
-        Free-form tag stored on the telemetry record (e.g. ``"stage2"``)
-        so multi-solve pipelines stay tellable apart.
+        Free-form tag stored on the ``lp_solve`` telemetry record (e.g.
+        ``"stage2"``) so multi-solve pipelines stay tellable apart.  Under
+        a :class:`~repro.obs.Telemetry` collector each solve is timed
+        under an ``"lp_solve"`` span and recorded with its dimensions,
+        nnz, iteration count, backend and status.
     resilience:
         Optional :class:`SolveResilience` enabling the bounded
         retry-perturb-fallback chain described in the module docstring.
@@ -535,7 +532,6 @@ def solve_lp(
         exhausted, and carries ``backend``, ``retries`` and
         ``backends_tried`` context.
     """
-    telemetry = telemetry or NULL_TELEMETRY
     # Lazy import: repro.engine.backend imports this module for the
     # bundled backend implementations, so the registry lookup must not
     # run at import time.
@@ -545,12 +541,7 @@ def solve_lp(
     if budget is not None:
         budget.check(label or "lp_solve")
     if resilience is None:
-        solution = backend_obj.solve(
-            problem,
-            telemetry=telemetry,
-            label=label,
-            budget=budget,
-        )
+        solution = backend_obj.solve(problem, label=label, budget=budget)
         if validate:
             _check_solution(problem, solution, backend)
         return solution
@@ -568,12 +559,7 @@ def solve_lp(
         )
         tried.append(backend)
         try:
-            solution = backend_obj.solve(
-                candidate,
-                telemetry=telemetry,
-                label=label,
-                budget=budget,
-            )
+            solution = backend_obj.solve(candidate, label=label, budget=budget)
             if validate:
                 _check_solution(candidate, solution, backend)
             return solution
@@ -582,6 +568,7 @@ def solve_lp(
         except SolverError as exc:
             last_error = exc
             retries = attempt
+            telemetry = current()
             telemetry.record(
                 "solve_retry",
                 label=label,
@@ -599,15 +586,12 @@ def solve_lp(
         and problem.num_vars <= resilience.fallback_max_vars
     ):
         tried.append(fallback)
-        telemetry.count("lp_backend_fallbacks")
+        current().count("lp_backend_fallbacks")
         if budget is not None:
             budget.check(label or "lp_solve")
         try:
             solution = get_backend(fallback).solve(
-                problem,
-                telemetry=telemetry,
-                label=label,
-                budget=budget,
+                problem, label=label, budget=budget
             )
             if validate:
                 _check_solution(problem, solution, fallback)
@@ -790,7 +774,6 @@ def _passes_linprog_check(
 
 def solve_highs(
     problem: LinearProgram,
-    telemetry: Telemetry = NULL_TELEMETRY,
     label: str | None = None,
     budget: SolveBudget | None = None,
 ) -> LPSolution:
@@ -808,7 +791,7 @@ def solve_highs(
     b_ub = _EMPTY if problem.b_ub is None else problem.b_ub
     b_eq = _EMPTY if problem.b_eq is None else problem.b_eq
     time_limit = None if budget is None else budget.backend_time_limit()
-    with telemetry.span("lp_solve") as span:
+    with current().span("lp_solve") as span:
         run = run_highs(
             cost,
             lo,
@@ -864,5 +847,5 @@ def solve_highs(
         ineq_duals=duals[: b_ub.shape[0]],
         eq_duals=duals[b_ub.shape[0]:],
     )
-    _record_solve(telemetry, problem, solution, "highs", span.elapsed, label)
+    _record_solve(problem, solution, "highs", span.elapsed, label)
     return solution

@@ -1,28 +1,38 @@
-"""Solve telemetry: nestable timers, counters and per-solve records.
+"""Solve telemetry: one scoped collector of timers, counters and records.
 
-Every hot-path component of the pipeline — :class:`~repro.lp.model.ProblemStructure`
+The pipeline never takes a collector as an argument.  Every layer that
+measures something — :class:`~repro.lp.model.ProblemStructure`
 assembly, :func:`~repro.lp.solver.solve_lp`, the LPDAR greedy pass, the
-RET binary search — accepts an optional ``telemetry=`` argument.  Passing
-a :class:`Telemetry` instance turns the pipeline's black box into a
-measured run:
+RET binary search, the epoch kernel, the reservation service — asks
+:func:`current` for the collector installed around it and records there.
+Entering a :class:`Telemetry` installs it for the enclosed code, so
+profiling a run is one ``with`` block around it:
 
->>> from repro.obs import Telemetry
->>> telemetry = Telemetry()
->>> with telemetry.span("outer"):
-...     with telemetry.span("inner"):
-...         pass
->>> telemetry.span_stats["outer.inner"].calls
-1
+>>> from repro.obs import NULL_TELEMETRY, Telemetry, current
+>>> current() is NULL_TELEMETRY
+True
+>>> with Telemetry() as telemetry:
+...     with current().span("outer"):
+...         with current().span("inner"):
+...             current().count("events")
+>>> telemetry.span_stats["outer.inner"].calls, telemetry.counters["events"]
+(1, 1)
+>>> current() is NULL_TELEMETRY
+True
 
 Design rules
 ------------
 
-* **Zero-impact default.**  Call sites normalize ``telemetry=None`` to
-  the module-level :data:`NULL_TELEMETRY` singleton, whose every method
-  is a no-op; existing code paths and outputs are bit-for-bit unchanged.
+* **Zero-impact default.**  With no collector installed, :func:`current`
+  returns the module-level :data:`NULL_TELEMETRY` singleton, whose every
+  method is a no-op; code paths and outputs are bit-for-bit unchanged.
 * **Observation only.**  A :class:`Telemetry` object never influences
   the computation it measures — it is written to, never read from, by
   the pipeline.
+* **Context-scoped.**  The collector lives in a
+  :class:`~contextvars.ContextVar`, not a module global: ``asyncio.run``
+  copies it into the reservation service's tasks, it does not leak into
+  other threads, and nested collectors restore the outer one on exit.
 * **Plain-data export.**  :meth:`Telemetry.as_dict` returns nothing but
   dicts, lists, strings, ints and floats, so the result serializes with
   :mod:`json` as-is.
@@ -37,9 +47,13 @@ from __future__ import annotations
 
 import json
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
-__all__ = ["Span", "SpanStats", "Telemetry", "NullTelemetry", "NULL_TELEMETRY"]
+__all__ = [
+    "Span", "SpanStats", "Telemetry", "NullTelemetry", "NULL_TELEMETRY",
+    "current",
+]
 
 
 @dataclass
@@ -110,6 +124,10 @@ class _SpanContext:
 class Telemetry:
     """Collects spans, counters and records for one measured run.
 
+    Use it as a context manager to install it as the :func:`current`
+    collector for the enclosed code; the previous collector is restored
+    on exit.
+
     Attributes
     ----------
     span_stats:
@@ -132,6 +150,14 @@ class Telemetry:
         self.counters: dict[str, float] = {}
         self.records: list[dict] = []
         self._stack: list[Span] = []
+        self._tokens: list = []
+
+    def __enter__(self) -> "Telemetry":
+        self._tokens.append(_CURRENT.set(self))
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        _CURRENT.reset(self._tokens.pop())
 
     # ------------------------------------------------------------------
     # Collection API (what the pipeline calls)
@@ -296,7 +322,7 @@ class Telemetry:
 
 
 class NullTelemetry(Telemetry):
-    """The do-nothing telemetry every call site defaults to.
+    """The do-nothing collector :func:`current` returns when none is installed.
 
     Spans still yield a working :class:`Span` (some callers read
     ``elapsed`` regardless of profiling — two ``perf_counter`` calls),
@@ -329,6 +355,15 @@ class _NullSpanContext:
         self._span._close()
 
 
-#: Shared no-op instance; ``telemetry or NULL_TELEMETRY`` is the
-#: canonical normalization at every pipeline entry point.
+#: Shared no-op instance: what :func:`current` returns when no collector
+#: is installed.
 NULL_TELEMETRY = NullTelemetry()
+
+_CURRENT: ContextVar[Telemetry] = ContextVar(
+    "repro_telemetry", default=NULL_TELEMETRY
+)
+
+
+def current() -> Telemetry:
+    """The collector installed around the caller, else :data:`NULL_TELEMETRY`."""
+    return _CURRENT.get()

@@ -76,11 +76,10 @@ from ..errors import (
     ScheduleError,
     ValidationError,
 )
-from ..faults.events import LinkDown, WavelengthDegrade
 from ..faults.schedule import FaultSchedule
 from ..lp.solver import SolveBudget, SolveResilience
 from ..network.graph import Network
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs import current
 from ..recovery.crash import CrashInjector
 from ..recovery.journal import EpochJournal, read_journal
 from ..timegrid import TimeGrid
@@ -175,7 +174,6 @@ class ReservationService:
         ret_b_max: float = 10.0,
         ret_delta: float = 0.1,
         renegotiate_limit: int = 3,
-        telemetry: Telemetry | None = None,
         warm_start: bool = True,
         verify_solutions: bool = False,
         journal_fault_injector=None,
@@ -210,21 +208,18 @@ class ReservationService:
         self.ret_b_max = float(ret_b_max)
         self.ret_delta = float(ret_delta)
         self.renegotiate_limit = int(renegotiate_limit)
-        self.telemetry = telemetry or NULL_TELEMETRY
         self.warm_start = warm_start
         self.verify_solutions = bool(verify_solutions)
         self.journal_fault_injector = journal_fault_injector
-        self.stats = ServiceStats(self.telemetry)
+        self.stats = ServiceStats()
 
         self._engine = ModelEngine(
-            network, k_paths, telemetry=self.telemetry, warm_start=warm_start,
-            resilience=resilience,
+            network, k_paths, warm_start=warm_start, resilience=resilience,
         )
         self._scheduler = Scheduler(
             network,
             k_paths=k_paths,
             slice_length=self.slice_length,
-            telemetry=self.telemetry,
             budget=solve_budget,
             resilience=resilience,
             engine=self._engine,
@@ -256,7 +251,6 @@ class ReservationService:
             crash_injector=crash_injector,
             solve_budget=solve_budget,
             engine=self._engine,
-            telemetry=self.telemetry,
         )
         #: Per-``k_paths`` engines and per-action schedulers for epochs
         #: where an adaptive policy deviates from the base knobs.
@@ -753,7 +747,6 @@ class ReservationService:
                 b_max=self.ret_b_max,
                 delta=self.ret_delta,
                 path_sets=path_sets,
-                telemetry=self.telemetry,
                 budget=self.solve_budget,
                 engine=self._engine,
                 warm_start=self.warm_start,
@@ -808,8 +801,8 @@ class ReservationService:
             return self._engine
         if k_paths not in self._engines_by_k:
             self._engines_by_k[k_paths] = ModelEngine(
-                self.network, k_paths, telemetry=self.telemetry,
-                warm_start=self.warm_start, resilience=self.resilience,
+                self.network, k_paths, warm_start=self.warm_start,
+                resilience=self.resilience,
             )
         return self._engines_by_k[k_paths]
 
@@ -824,7 +817,6 @@ class ReservationService:
                 alpha_step=action.alpha_step,
                 alpha_max=action.alpha_max,
                 slice_length=self.slice_length,
-                telemetry=self.telemetry,
                 budget=self.solve_budget,
                 resilience=self.resilience,
                 engine=engine,
@@ -875,7 +867,7 @@ class ReservationService:
             # void or expire the affected reservations visibly.
             return transitions, delivered, completed
         if result.degraded is not None:
-            self.telemetry.count("service_degraded_solves")
+            current().count("service_degraded_solves")
         structure = result.structure
         delivery = per_slice_delivery(structure, np.asarray(result.x))
         executed = [
@@ -949,7 +941,6 @@ class ReservationService:
     def resume(
         cls,
         path: str | Path,
-        telemetry: Telemetry | None = None,
         crash_injector: CrashInjector | None = None,
         solve_budget: SolveBudget | None = None,
         journal_fault_injector=None,
@@ -1010,7 +1001,6 @@ class ReservationService:
             ret_b_max=config["ret_b_max"],
             ret_delta=config["ret_delta"],
             renegotiate_limit=config["renegotiate_limit"],
-            telemetry=telemetry,
             warm_start=config.get("warm_start", True),
             verify_solutions=config.get("verify_solutions", False),
         )
@@ -1052,5 +1042,5 @@ class ReservationService:
         service._journal.fault_injector = journal_fault_injector
         service.journal_fault_injector = journal_fault_injector
         service.journal_path = Path(path)
-        service.telemetry.count("journal_resumes")
+        current().count("journal_resumes")
         return service

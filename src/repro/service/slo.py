@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 
 from ..analysis.reporting import Table
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs import current
 
 __all__ = ["ServiceStats"]
 
@@ -52,8 +52,7 @@ class ServiceStats:
         "ticks",
     )
 
-    def __init__(self, telemetry: Telemetry | None = None) -> None:
-        self.telemetry = telemetry or NULL_TELEMETRY
+    def __init__(self) -> None:
         self.counters: dict[str, int] = dict.fromkeys(self._COUNTERS, 0)
         self._latencies: list[float] = []
         self._decimation = 1
@@ -63,7 +62,7 @@ class ServiceStats:
     # ------------------------------------------------------------------
     def count(self, name: str, n: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + n
-        self.telemetry.count(f"service_{name}", n)
+        current().count(f"service_{name}", n)
 
     def observe_latency(self, seconds: float) -> None:
         """Record one submit→respond decision latency."""

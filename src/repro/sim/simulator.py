@@ -24,7 +24,7 @@ paper's earlier companion papers quantified.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Literal
 
@@ -46,7 +46,7 @@ from ..faults.schedule import FaultSchedule
 from ..lp.solver import DEFAULT_RESILIENCE, SolveBudget, SolveResilience
 from ..network.capacity import CapacityProfile
 from ..network.graph import Network
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs import current
 from ..recovery.crash import CrashInjector
 from ..recovery.journal import EpochJournal, read_journal
 from ..timegrid import TimeGrid
@@ -59,7 +59,6 @@ from .events import (
     DegradedSolve,
     DeliveryLost,
     Event,
-    JobAdmitted,
     JobArrived,
     JobCompleted,
     JobDeadlineExtended,
@@ -217,11 +216,6 @@ class Simulation:
         fall back to installed capacity.  Applies to the scheduling
         passes; the ``extend`` policy's RET extension search does not
         see it (the resulting schedule still honours it).
-    telemetry:
-        Optional :class:`~repro.obs.Telemetry` collecting the whole
-        run: each epoch's admission + scheduling work is timed under a
-        ``"scheduling_pass"`` span, and the scheduler's and RET's own
-        records accumulate beneath it.  ``None`` measures nothing.
     fault_schedule:
         Optional :class:`~repro.faults.FaultSchedule` of link failures,
         degradations and repairs.  The controller detects faults at
@@ -303,6 +297,11 @@ class Simulation:
         each other; adaptive policies are incompatible with ``journal=``
         (a resumed run cannot replay the policy's state).  See
         ``docs/architecture.md``.
+
+    Under a :class:`~repro.obs.Telemetry` collector, each epoch's
+    admission + scheduling work is timed under a ``"scheduling_pass"``
+    span, the scheduler's and RET's own records accumulate beneath it,
+    and an ``epoch_cache_stats`` record reports the engine's reuse.
     """
 
     def __init__(
@@ -318,7 +317,6 @@ class Simulation:
         rejection: str = "prefix",
         keep_schedules: bool = False,
         capacity_profile=None,
-        telemetry: Telemetry | None = None,
         fault_schedule: FaultSchedule | None = None,
         resilience: SolveResilience | None = None,
         verify_epochs: bool = False,
@@ -367,7 +365,6 @@ class Simulation:
             resilience = DEFAULT_RESILIENCE
         self.resilience = resilience
         self.verify_epochs = verify_epochs
-        self.telemetry = telemetry or NULL_TELEMETRY
         self.warm_start = bool(warm_start)
         self.verify_solutions = bool(verify_solutions)
         self.journal_fault_injector = journal_fault_injector
@@ -375,11 +372,7 @@ class Simulation:
         # memoized RET probe solves carry over between epochs.  A cold
         # engine (--no-warm-start) rebuilds everything from scratch each
         # epoch; results are identical either way.
-        self._engine = (
-            ModelEngine(network, k_paths, telemetry=self.telemetry)
-            if self.warm_start
-            else ModelEngine.cold(network, k_paths, telemetry=self.telemetry)
-        )
+        self._engine = ModelEngine(network, k_paths, warm_start=self.warm_start)
         if journal is not None:
             if capacity_profile is not None:
                 raise ValidationError(
@@ -472,7 +465,6 @@ class Simulation:
     def resume(
         cls,
         path: str | Path,
-        telemetry: Telemetry | None = None,
         crash_injector: CrashInjector | None = None,
         journal_fault_injector=None,
     ) -> SimulationResult:
@@ -551,7 +543,6 @@ class Simulation:
             ret_delta=config["ret_delta"],
             rejection=config["rejection"],
             verify_epochs=config.get("verify_epochs", False),
-            telemetry=telemetry,
             fault_schedule=fault_schedule,
             resilience=resilience,
             journal=path,
@@ -587,7 +578,7 @@ class Simulation:
             }
         journal = EpochJournal.open_existing(path)
         journal.fault_injector = journal_fault_injector
-        sim.telemetry.count("journal_resumes")
+        current().count("journal_resumes")
         return sim._run_loop(
             jobs,
             horizon,
@@ -640,7 +631,6 @@ class Simulation:
             crash_injector=self.crash_injector,
             solve_budget=self.solve_budget,
             engine=self._engine,
-            telemetry=self.telemetry,
             now=now,
             epoch=epoch,
             fault_idx=fault_idx,
@@ -651,12 +641,8 @@ class Simulation:
         if k_paths == self.k_paths:
             return self._engine
         if k_paths not in self._engines_by_k:
-            self._engines_by_k[k_paths] = (
-                ModelEngine(self.network, k_paths, telemetry=self.telemetry)
-                if self.warm_start
-                else ModelEngine.cold(
-                    self.network, k_paths, telemetry=self.telemetry
-                )
+            self._engines_by_k[k_paths] = ModelEngine(
+                self.network, k_paths, warm_start=self.warm_start
             )
         return self._engines_by_k[k_paths]
 
@@ -671,7 +657,6 @@ class Simulation:
                 alpha_step=action.alpha_step,
                 alpha_max=action.alpha_max,
                 slice_length=self.slice_length,
-                telemetry=self.telemetry,
                 resilience=self.resilience,
                 engine=engine,
                 verify_solutions=self.verify_solutions,
@@ -761,7 +746,6 @@ class Simulation:
             k_paths=self.k_paths,
             alpha=self.alpha,
             slice_length=self.slice_length,
-            telemetry=self.telemetry,
             resilience=self.resilience,
             engine=self._engine,
             verify_solutions=self.verify_solutions,
@@ -873,7 +857,8 @@ class Simulation:
             # 4. Admission control + scheduling, timed as one pass (the
             #    span replaces the old hand-rolled perf_counter block and
             #    also feeds the SchedulingPass event's solve time).
-            with self.telemetry.span("scheduling_pass") as pass_span:
+            telemetry = current()
+            with telemetry.span("scheduling_pass") as pass_span:
                 epoch_paths = None
                 if self.fault_schedule is not None:
                     residual, epoch_paths = self._route_around_faults(
@@ -904,11 +889,11 @@ class Simulation:
                         path_sets=epoch_paths,
                         budget=budget,
                     )
-            if residual is not None and self.telemetry.enabled:
+            if residual is not None and telemetry.enabled:
                 # Per-epoch engine reuse evidence (telemetry-only — the
                 # records never enter the journal, so warm/cold
                 # equivalence is untouched).
-                self.telemetry.record(
+                telemetry.record(
                     "epoch_cache_stats", epoch=kernel.epoch,
                     **kernel.cache_delta(),
                 )
@@ -1146,7 +1131,6 @@ class Simulation:
                 b_max=self.ret_b_max,
                 delta=self.ret_delta,
                 path_sets=path_sets,
-                telemetry=self.telemetry,
                 resilience=self.resilience,
                 budget=budget,
                 engine=engine,

@@ -11,7 +11,7 @@ parameterized, and all randomness flowing through an explicit
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable
 
 import numpy as np
 

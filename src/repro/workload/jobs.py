@@ -7,7 +7,7 @@ window ``[S_i, E_i]``, with ``A_i <= S_i <= E_i``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np

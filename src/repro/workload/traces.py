@@ -11,7 +11,7 @@ same qualitative structure (documented substitution, see DESIGN.md).
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable
 
 import numpy as np
 

@@ -103,21 +103,6 @@ class TestScheduleCommand:
         assert data["algorithm"] == "lpdar"
         assert len(data["job_throughputs"]) == 6
 
-    def test_profile_flag(self, net_file, jobs_file, capsys):
-        assert (
-            main(
-                [
-                    "schedule", "--network", str(net_file),
-                    "--jobs", str(jobs_file), "--profile",
-                ]
-            )
-            == 0
-        )
-        printed = capsys.readouterr().out
-        assert "telemetry — spans" in printed
-        assert "telemetry — LP solves" in printed
-        assert "stage1" in printed and "stage2" in printed
-
     def test_gantt_flag(self, net_file, jobs_file, capsys):
         assert (
             main(
@@ -130,6 +115,41 @@ class TestScheduleCommand:
         )
         printed = capsys.readouterr().out
         assert "job" in printed and "link" in printed
+
+
+def _table_rows(printed: str, title: str) -> list[str]:
+    """Data rows of the table titled ``title`` in ``printed``."""
+    assert title in printed
+    section = printed.split(title, 1)[1].split("\n\n", 1)[0]
+    return section.strip("\n").splitlines()[2:]  # past header and rule
+
+
+class TestProfileFlag:
+    @pytest.mark.parametrize("command", [
+        "schedule", "ret", "simulate", "resume", "serve",
+    ])
+    def test_profile_flag(self, command, tmp_path, net_file, jobs_file,
+                          capsys):
+        inputs = ["--network", str(net_file), "--jobs", str(jobs_file)]
+        if command == "resume":
+            # A journal cut after its first epoch, as a crash leaves it.
+            journal = tmp_path / "run.jsonl"
+            assert main(["simulate", *inputs, "--journal", str(journal)]) == 0
+            lines = journal.read_text().splitlines(keepends=True)
+            journal.write_text("".join(lines[:2]))
+            capsys.readouterr()
+            argv = ["resume", str(journal)]
+        elif command == "serve":
+            argv = ["serve", "--network", str(net_file),
+                    "--trace", str(jobs_file)]
+        else:
+            argv = [command, *inputs]
+        assert main([*argv, "--profile"]) == 0
+        printed = capsys.readouterr().out
+        assert "telemetry — spans" in printed
+        assert _table_rows(printed, "telemetry — LP solves")
+        counters = _table_rows(printed, "telemetry — counters")
+        assert any(row.split()[0] == "lp_solves" for row in counters)
 
 
 class TestRetCommand:

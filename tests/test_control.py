@@ -54,7 +54,7 @@ def _obs(base: EpochAction, backlog: int = 0) -> EpochObservation:
         now=0.0, epoch=0, backlog=backlog, total_remaining=float(backlog),
         queue_depth=0, delivered_volume=0.0, fault_idx=0,
         failed_edges=frozenset(), overloaded=None, last_zstar=None,
-        budget_wall_s=None, cache={}, base=base,
+        budget_wall_s=None, base=base,
     )
 
 

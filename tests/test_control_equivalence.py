@@ -8,13 +8,15 @@ rebuild is invisible, three ways:
   journals (and service book digests) captured from the *pre-refactor*
   code over fuzz scenarios spanning every admission policy and fault
   timelines.  The kernel-driven code must reproduce every line
-  byte-for-byte, both bare (``control_policy=None``) and with
-  :class:`~repro.control.FixedPolicy` attached.
+  byte-for-byte: bare (``control_policy=None``), with
+  :class:`~repro.control.FixedPolicy` attached, and bare under a
+  :class:`~repro.obs.Telemetry` collector (telemetry is observation
+  only).
 * **Hypothesis property** — over fresh
   :func:`~repro.verify.fuzz.make_scenario` seeds (fault timelines
   included), a ``FixedPolicy`` run produces journals line-identical to
-  a bare run, for both drivers; the service's commitment books agree
-  digest-for-digest.
+  a bare run and a profiled run, for both drivers; the service's
+  commitment books agree digest-for-digest.
 * **Crash + resume** — a ``FixedPolicy`` run crashed mid-flight and
   resumed from its journal converges to the same state as the run that
   never crashed, for both drivers.
@@ -35,6 +37,7 @@ from hypothesis import strategies as st
 
 from repro import Simulation
 from repro.control import FixedPolicy
+from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.recovery import CrashInjector, SimulatedCrash
 from repro.service import ReservationService
 from repro.service.driver import ClosedLoopDriver
@@ -53,6 +56,18 @@ SOLVER_SETTINGS = settings(
 )
 
 seeds = st.integers(min_value=0, max_value=10_000)
+
+#: Golden run modes: ``(control policy factory, run under a collector)``.
+RUN_MODES = pytest.mark.parametrize("policy_factory, profiled", [
+    pytest.param(lambda: None, False, id="bare"),
+    pytest.param(FixedPolicy, False, id="fixed-policy"),
+    pytest.param(lambda: None, True, id="profiled"),
+])
+
+
+def _collector(profiled: bool):
+    """A live collector for a profiled run, else the no-op one."""
+    return Telemetry() if profiled else NULL_TELEMETRY
 
 
 def _normalize(line: str) -> str:
@@ -106,34 +121,32 @@ def _run_serve_journal(scenario, tmp_path, policy):
 # ----------------------------------------------------------------------
 class TestGoldenSimJournals:
     @pytest.mark.parametrize("key", sorted(GOLDEN["sim"]))
-    @pytest.mark.parametrize("policy_factory", [
-        pytest.param(lambda: None, id="bare"),
-        pytest.param(FixedPolicy, id="fixed-policy"),
-    ])
+    @RUN_MODES
     def test_journal_bytes_match_pre_refactor(
-            self, key, policy_factory, tmp_path):
+            self, key, policy_factory, profiled, tmp_path):
         case = GOLDEN["sim"][key]
         scenario = make_scenario(case["seed"])
         assert (scenario.fault_schedule is not None) == case["faults"]
-        lines, _result = _run_sim_journal(
-            scenario, tmp_path, policy_factory(), case["policy"])
+        with _collector(profiled) as telemetry:
+            lines, _result = _run_sim_journal(
+                scenario, tmp_path, policy_factory(), case["policy"])
         assert lines == case["lines"]
+        assert not profiled or telemetry.counters["lp_solves"] > 0
 
 
 class TestGoldenServiceJournals:
     @pytest.mark.parametrize("key", sorted(GOLDEN["serve"]))
-    @pytest.mark.parametrize("policy_factory", [
-        pytest.param(lambda: None, id="bare"),
-        pytest.param(FixedPolicy, id="fixed-policy"),
-    ])
+    @RUN_MODES
     def test_journal_and_digest_match_pre_refactor(
-            self, key, policy_factory, tmp_path):
+            self, key, policy_factory, profiled, tmp_path):
         case = GOLDEN["serve"][key]
         scenario = make_scenario(case["seed"])
-        lines, digest = _run_serve_journal(
-            scenario, tmp_path, policy_factory())
+        with _collector(profiled) as telemetry:
+            lines, digest = _run_serve_journal(
+                scenario, tmp_path, policy_factory())
         assert lines == case["lines"]
         assert digest == case["digest"]
+        assert not profiled or telemetry.counters["lp_solves"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -150,7 +163,12 @@ class TestFixedPolicyInvisible:
         fixed, fixed_result = _run_sim_journal(
             scenario, tmp_path_factory.mktemp("fixed"), FixedPolicy(),
             admission)
-        assert bare == fixed
+        with Telemetry() as telemetry:
+            profiled, _ = _run_sim_journal(
+                scenario, tmp_path_factory.mktemp("profiled"), None,
+                admission)
+        assert bare == fixed == profiled
+        assert telemetry.counters["lp_solves"] > 0
         assert ([r.status for r in bare_result.records]
                 == [r.status for r in fixed_result.records])
         assert bare_result.delivered_volume == pytest.approx(
@@ -165,8 +183,12 @@ class TestFixedPolicyInvisible:
             scenario, tmp_path_factory.mktemp("bare"), None)
         fixed, fixed_digest = _run_serve_journal(
             scenario, tmp_path_factory.mktemp("fixed"), FixedPolicy())
-        assert bare == fixed
-        assert bare_digest == fixed_digest
+        with Telemetry() as telemetry:
+            profiled, profiled_digest = _run_serve_journal(
+                scenario, tmp_path_factory.mktemp("profiled"), None)
+        assert bare == fixed == profiled
+        assert bare_digest == fixed_digest == profiled_digest
+        assert telemetry.counters["lp_solves"] > 0
 
 
 # ----------------------------------------------------------------------

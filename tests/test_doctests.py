@@ -7,6 +7,7 @@ import pytest
 import repro
 import repro.analysis.reporting
 import repro.network.graph
+import repro.obs.telemetry
 import repro.timegrid
 
 
@@ -17,6 +18,7 @@ import repro.timegrid
         repro.timegrid,
         repro.network.graph,
         repro.analysis.reporting,
+        repro.obs.telemetry,
     ],
     ids=lambda m: m.__name__,
 )

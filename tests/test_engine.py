@@ -48,6 +48,13 @@ def jobs(network):
     )
 
 
+@pytest.fixture
+def telemetry():
+    """A collector installed around the whole test."""
+    with Telemetry() as collector:
+        yield collector
+
+
 def _matrices_equal(left, right):
     return (
         (left.capacity_matrix != right.capacity_matrix).nnz == 0
@@ -120,12 +127,9 @@ class TestBackendRegistry:
         class CountingBackend:
             name = "counting"
 
-            def solve(self, problem, *, telemetry=None, label=None,
-                      budget=None):
+            def solve(self, problem, *, label=None, budget=None):
                 calls.append(label)
-                return HighsBackend().solve(
-                    problem, telemetry=telemetry, label=label, budget=budget
-                )
+                return HighsBackend().solve(problem, label=label, budget=budget)
 
         register_backend(CountingBackend())
         try:
@@ -147,9 +151,8 @@ class TestBackendRegistry:
 
 
 class TestTopologyLayer:
-    def test_path_sets_cached(self, network, jobs):
-        telemetry = Telemetry()
-        topo = TopologyLayer(network, k_paths=2, telemetry=telemetry)
+    def test_path_sets_cached(self, network, jobs, telemetry):
+        topo = TopologyLayer(network, k_paths=2)
         first = topo.path_sets(jobs.od_pairs())
         misses = telemetry.counters["path_cache_misses"]
         assert misses == len(first)
@@ -177,9 +180,8 @@ class TestTopologyLayer:
 
 
 class TestLayoutLayer:
-    def test_exact_hit_returns_same_object(self, network, jobs):
-        telemetry = Telemetry()
-        engine = ModelEngine(network, k_paths=2, telemetry=telemetry)
+    def test_exact_hit_returns_same_object(self, network, jobs, telemetry):
+        engine = ModelEngine(network, k_paths=2)
         grid = TimeGrid.covering(jobs.max_end())
         first = engine.structure(jobs, grid)
         second = engine.structure(jobs, grid)
@@ -232,9 +234,8 @@ class TestLayoutLayer:
         )
         assert _matrices_equal(warm, cold)
 
-    def test_fragment_reuse_across_layouts(self, network, jobs):
-        telemetry = Telemetry()
-        engine = ModelEngine(network, k_paths=2, telemetry=telemetry)
+    def test_fragment_reuse_across_layouts(self, network, jobs, telemetry):
+        engine = ModelEngine(network, k_paths=2)
         engine.structure(jobs, TimeGrid.covering(jobs.max_end()))
         builds = telemetry.counters["layout_fragment_builds"]
         # Same windows on a longer grid: every per-job fragment recurs.
@@ -275,9 +276,8 @@ class TestJobCapacityFragment:
 
 
 class TestCachedSolve:
-    def test_memo_hit_returns_same_solution(self, network, jobs):
-        telemetry = Telemetry()
-        engine = ModelEngine(network, k_paths=2, telemetry=telemetry)
+    def test_memo_hit_returns_same_solution(self, network, jobs, telemetry):
+        engine = ModelEngine(network, k_paths=2)
         structure = engine.structure(jobs, TimeGrid.covering(jobs.max_end()))
         first = engine.cached_solve(
             structure, "stage1", lambda: build_stage1_lp(structure)
@@ -289,14 +289,13 @@ class TestCachedSolve:
         assert telemetry.counters["memo_hits"] == 1
         assert telemetry.counters["engine_solves"] == 1
 
-    def test_infeasibility_is_memoized_and_replayed(self, network):
+    def test_infeasibility_is_memoized_and_replayed(self, network, telemetry):
         nodes = network.nodes
         impossible = JobSet(
             [Job(id="x", source=nodes[0], dest=nodes[3], size=1e6,
                  start=0.0, end=2.0)]
         )
-        telemetry = Telemetry()
-        engine = ModelEngine(network, k_paths=2, telemetry=telemetry)
+        engine = ModelEngine(network, k_paths=2)
         structure = engine.structure(
             impossible, TimeGrid.covering(impossible.max_end())
         )
@@ -307,9 +306,8 @@ class TestCachedSolve:
                 )
             assert telemetry.counters.get("memo_hits", 0) == expected_hits
 
-    def test_cache_false_always_solves(self, network, jobs):
-        telemetry = Telemetry()
-        engine = ModelEngine(network, k_paths=2, telemetry=telemetry)
+    def test_cache_false_always_solves(self, network, jobs, telemetry):
+        engine = ModelEngine(network, k_paths=2)
         structure = engine.structure(jobs, TimeGrid.covering(jobs.max_end()))
         for _ in range(2):
             engine.cached_solve(
@@ -319,9 +317,8 @@ class TestCachedSolve:
         assert telemetry.counters.get("memo_hits", 0) == 0
         assert telemetry.counters["engine_solves"] == 2
 
-    def test_cold_engine_never_reuses(self, network, jobs):
-        telemetry = Telemetry()
-        engine = ModelEngine.cold(network, k_paths=2, telemetry=telemetry)
+    def test_cold_engine_never_reuses(self, network, jobs, telemetry):
+        engine = ModelEngine(network, k_paths=2, warm_start=False)
         grid = TimeGrid.covering(jobs.max_end())
         first = engine.structure(jobs, grid)
         second = engine.structure(jobs, grid)
@@ -355,9 +352,10 @@ class TestEngineWindows:
         )
         assert _matrices_equal(extended, by_hand)
 
-    def test_extend_windows_near_probes_share_solution(self, network, jobs):
-        telemetry = Telemetry()
-        engine = ModelEngine(network, k_paths=2, telemetry=telemetry)
+    def test_extend_windows_near_probes_share_solution(
+        self, network, jobs, telemetry
+    ):
+        engine = ModelEngine(network, k_paths=2)
         first = engine.extend_windows(jobs, 0.25)
         second = engine.extend_windows(jobs, 0.2501)
         # Raw ends differ, so the exact structure cache must not alias
@@ -402,7 +400,9 @@ class TestAssemblyHelpers:
         assert a_eq.shape == (len(jobs), structure.num_cols + 1)
         assert np.array_equal(b_ub, structure.cap_rhs)
 
-    def test_capacity_floor_blocks_share_matrix_across_rhs(self, network, jobs):
+    def test_capacity_floor_blocks_share_matrix_across_rhs(
+        self, network, jobs
+    ):
         structure = build_structure(
             network, jobs, TimeGrid.covering(jobs.max_end()), 2
         )
@@ -428,14 +428,15 @@ class TestFrontEndWiring:
         with pytest.raises(ValidationError, match="k_paths"):
             solve_ret(network, jobs, k_paths=2, engine=ModelEngine(network, 4))
 
-    def test_scheduler_reuses_engine_between_calls(self, network, jobs):
-        telemetry = Telemetry()
-        scheduler = Scheduler(network, k_paths=2, telemetry=telemetry)
+    def test_scheduler_reuses_engine_between_calls(
+        self, network, jobs, telemetry
+    ):
+        scheduler = Scheduler(network, k_paths=2)
         scheduler.schedule(jobs)
         scheduler.schedule(jobs)
         assert telemetry.counters["structure_cache_hits"] >= 1
 
-    def test_ret_probe_phases_are_explicit(self, network):
+    def test_ret_probe_phases_are_explicit(self, network, telemetry):
         nodes = network.nodes
         tight = JobSet(
             [
@@ -443,8 +444,7 @@ class TestFrontEndWiring:
                     start=0.0, end=2.0),
             ]
         )
-        telemetry = Telemetry()
-        solve_ret(network, tight, k_paths=2, telemetry=telemetry)
+        solve_ret(network, tight, k_paths=2)
         probes = telemetry.records_of("ret_probe")
         assert probes, "RET left no probe trace"
         phases = {p["phase"] for p in probes}
@@ -470,9 +470,10 @@ class TestDeltaPatching:
             engine.network, jobs, grid, engine.k_paths, path_sets=path_sets
         )
 
-    def test_shifted_windows_patch_bit_identical(self, network, jobs):
-        telemetry = Telemetry()
-        engine = ModelEngine(network, k_paths=2, telemetry=telemetry)
+    def test_shifted_windows_patch_bit_identical(
+        self, network, jobs, telemetry
+    ):
+        engine = ModelEngine(network, k_paths=2)
         engine.structure(jobs, TimeGrid.covering(jobs.max_end()))
         shifted = JobSet(
             [
@@ -490,9 +491,10 @@ class TestDeltaPatching:
             patched, self._cold(engine, shifted, grid)
         )
 
-    def test_departed_and_new_jobs_patch_bit_identical(self, network, jobs):
-        telemetry = Telemetry()
-        engine = ModelEngine(network, k_paths=2, telemetry=telemetry)
+    def test_departed_and_new_jobs_patch_bit_identical(
+        self, network, jobs, telemetry
+    ):
+        engine = ModelEngine(network, k_paths=2)
         engine.structure(jobs, TimeGrid.covering(jobs.max_end()))
         nodes = network.nodes
         # Job "b" departs, a brand-new "c" arrives, "a"'s residual shrinks.
@@ -510,9 +512,8 @@ class TestDeltaPatching:
             patched, self._cold(engine, changed, grid)
         )
 
-    def test_same_layout_clone_shares_matrices(self, network, jobs):
-        telemetry = Telemetry()
-        engine = ModelEngine(network, k_paths=2, telemetry=telemetry)
+    def test_same_layout_clone_shares_matrices(self, network, jobs, telemetry):
+        engine = ModelEngine(network, k_paths=2)
         grid = TimeGrid.covering(jobs.max_end())
         donor = engine.structure(jobs, grid)
         shrunk = JobSet(
@@ -529,9 +530,8 @@ class TestDeltaPatching:
         assert record["clone"] is True
         assert _structures_bit_identical(clone, self._cold(engine, shrunk, grid))
 
-    def test_patch_declines_when_routes_change(self, network, jobs):
-        telemetry = Telemetry()
-        engine = ModelEngine(network, k_paths=2, telemetry=telemetry)
+    def test_patch_declines_when_routes_change(self, network, jobs, telemetry):
+        engine = ModelEngine(network, k_paths=2)
         grid = TimeGrid.covering(jobs.max_end())
         engine.structure(jobs, grid)
         # A fault reroute: the same jobs resolve to different paths, so
@@ -546,9 +546,10 @@ class TestDeltaPatching:
             rebuilt, self._cold(engine, jobs, grid, path_sets=banned)
         )
 
-    def test_patch_declines_under_capacity_profile(self, network, jobs):
-        telemetry = Telemetry()
-        engine = ModelEngine(network, k_paths=2, telemetry=telemetry)
+    def test_patch_declines_under_capacity_profile(
+        self, network, jobs, telemetry
+    ):
+        engine = ModelEngine(network, k_paths=2)
         grid = TimeGrid.covering(jobs.max_end())
         engine.structure(jobs, grid)
         profile = CapacityProfile.constant(network, grid)
@@ -556,9 +557,10 @@ class TestDeltaPatching:
         assert telemetry.counters.get("structure_patch_hits", 0) == 0
         assert telemetry.counters["cold_builds"] == 2
 
-    def test_patched_structures_carry_engine_key(self, network, jobs):
-        telemetry = Telemetry()
-        engine = ModelEngine(network, k_paths=2, telemetry=telemetry)
+    def test_patched_structures_carry_engine_key(
+        self, network, jobs, telemetry
+    ):
+        engine = ModelEngine(network, k_paths=2)
         engine.structure(jobs, TimeGrid.covering(jobs.max_end()))
         shifted = JobSet(
             [dataclasses.replace(j, start=j.start + 1.0, end=j.end + 1.0)
@@ -573,9 +575,10 @@ class TestDeltaPatching:
         assert telemetry.counters["memo_hits"] == 1
         assert telemetry.counters.get("engine_memo_bypass", 0) == 0
 
-    def test_memo_bypass_counted_for_unkeyed_structures(self, network, jobs):
-        telemetry = Telemetry()
-        engine = ModelEngine(network, k_paths=2, telemetry=telemetry)
+    def test_memo_bypass_counted_for_unkeyed_structures(
+        self, network, jobs, telemetry
+    ):
+        engine = ModelEngine(network, k_paths=2)
         # Built outside the engine: no _engine_key, so the memo cannot
         # apply and the bypass must be visible.
         outside = ProblemStructure(
@@ -628,23 +631,23 @@ class TestCarriedPlan:
         assert engine.has_carried_plan
 
     def test_cold_engine_never_carries(self, network, jobs):
-        engine = ModelEngine.cold(network, k_paths=2)
+        engine = ModelEngine(network, k_paths=2, warm_start=False)
         Scheduler(network, k_paths=2, engine=engine).schedule(jobs)
         assert not engine.has_carried_plan
         assert not engine.certify_feasible(jobs, TimeGrid.covering(4.0), {})
 
-    def test_witness_certifies_feasible_instance(self, network, jobs):
-        telemetry = Telemetry()
-        engine = ModelEngine(network, k_paths=2, telemetry=telemetry)
+    def test_witness_certifies_feasible_instance(
+        self, network, jobs, telemetry
+    ):
+        engine = ModelEngine(network, k_paths=2)
         Scheduler(network, k_paths=2, engine=engine).schedule(jobs)
         grid = TimeGrid.covering(jobs.max_end())
         path_sets = engine.topology.path_sets(jobs.od_pairs())
         assert engine.certify_feasible(jobs, grid, path_sets)
         assert telemetry.counters["ret_witness_hits"] == 1
 
-    def test_witness_declines_oversized_demand(self, network, jobs):
-        telemetry = Telemetry()
-        engine = ModelEngine(network, k_paths=2, telemetry=telemetry)
+    def test_witness_declines_oversized_demand(self, network, jobs, telemetry):
+        engine = ModelEngine(network, k_paths=2)
         Scheduler(network, k_paths=2, engine=engine).schedule(jobs)
         grid = TimeGrid.covering(jobs.max_end())
         path_sets = engine.topology.path_sets(jobs.od_pairs())
@@ -652,9 +655,8 @@ class TestCarriedPlan:
         assert not engine.certify_feasible(huge, grid, path_sets)
         assert telemetry.counters["ret_witness_misses"] == 1
 
-    def test_invalidate_drops_the_plan(self, network, jobs):
-        telemetry = Telemetry()
-        engine = ModelEngine(network, k_paths=2, telemetry=telemetry)
+    def test_invalidate_drops_the_plan(self, network, jobs, telemetry):
+        engine = ModelEngine(network, k_paths=2)
         Scheduler(network, k_paths=2, engine=engine).schedule(jobs)
         engine.invalidate_carried()
         assert not engine.has_carried_plan
@@ -663,13 +665,11 @@ class TestCarriedPlan:
         assert telemetry.counters["carried_invalidations"] == 1
 
     def test_ret_skips_bounds_probe_with_witness(self, network, jobs):
-        telemetry = Telemetry()
-        engine = ModelEngine(network, k_paths=2, telemetry=telemetry)
+        engine = ModelEngine(network, k_paths=2)
         Scheduler(network, k_paths=2, engine=engine).schedule(jobs)
         cold = solve_ret(network, jobs, k_paths=2, warm_start=False)
-        warm = solve_ret(
-            network, jobs, k_paths=2, engine=engine, telemetry=telemetry
-        )
+        with Telemetry() as telemetry:
+            warm = solve_ret(network, jobs, k_paths=2, engine=engine)
         assert telemetry.counters["ret_witness_skips"] == 1
         probes = telemetry.records_of("ret_probe")
         assert probes[0]["phase"] == "bounds"

@@ -9,6 +9,7 @@ results bit-for-bit (schedules, RET extensions, simulation records and
 journal entries).
 """
 
+import asyncio
 import json
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.core.scheduler import Scheduler
 from repro.engine import ModelEngine, build_structure
 from repro.errors import ReproError
 from repro.lp.model import ProblemStructure
+from repro.service import ClosedLoopDriver, ReservationService
 from repro.sim.simulator import Simulation
 from repro.verify.checker import verify_schedule
 from repro.verify.fuzz import make_scenario
@@ -93,7 +95,8 @@ def test_scheduler_warm_equals_cold(seed):
     sc = make_scenario(seed, allow_faults=False)
     warm_sched = Scheduler(sc.network, k_paths=3)
     cold_sched = Scheduler(
-        sc.network, k_paths=3, engine=ModelEngine.cold(sc.network, 3)
+        sc.network, k_paths=3,
+        engine=ModelEngine(sc.network, 3, warm_start=False),
     )
     try:
         warm = warm_sched.schedule(sc.jobs, sc.grid)
@@ -176,6 +179,37 @@ def test_fault_journal_identical_warm_vs_cold(seed, tmp_path):
     warm_entries = [_strip_timings(json.loads(l)) for l in warm_lines[1:]]
     cold_entries = [_strip_timings(json.loads(l)) for l in cold_lines[1:]]
     assert warm_entries == cold_entries
+
+
+@SOLVER_SETTINGS
+@given(seed=seeds)
+def test_service_warm_equals_cold(seed, tmp_path):
+    """A cold reservation service commits the same book and journal.
+
+    ``warm_start=False`` turns off every engine reuse layer under the
+    service; its book digest and journal (``warm_start`` header flag
+    aside) must match the warm service's exactly.
+    """
+    sc = make_scenario(seed, allow_faults=True)
+    digests, journals = {}, {}
+    for flag in (True, False):
+        path = tmp_path / f"serve-{flag}.jsonl"
+        path.unlink(missing_ok=True)
+        service = ReservationService(
+            sc.network, k_paths=3, journal=str(path), warm_start=flag,
+            fault_schedule=sc.fault_schedule, queue_limit=4096, rate=4096.0,
+        )
+        asyncio.run(ClosedLoopDriver(service, sc.jobs, max_epochs=400).run())
+        service.close()
+        digests[flag] = service.book.digest()
+        journals[flag] = [
+            _strip_timings(json.loads(line))
+            for line in path.read_text().splitlines()
+        ]
+    assert digests[True] == digests[False]
+    assert journals[True][0]["data"]["config"].pop("warm_start") is True
+    assert journals[False][0]["data"]["config"].pop("warm_start") is False
+    assert journals[True] == journals[False]
 
 
 @pytest.mark.parametrize("seed", [3, 11, 27])

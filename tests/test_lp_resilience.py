@@ -170,13 +170,12 @@ class TestRetryTelemetry:
     def test_retries_and_fallbacks_are_counted(self, monkeypatch):
         flaky = _FlakyHighs(failures=99)
         monkeypatch.setattr(solver_mod, "run_highs", flaky)
-        telemetry = Telemetry()
-        solve_lp(
-            tiny_lp(),
-            telemetry=telemetry,
-            label="stage1",
-            resilience=SolveResilience(max_retries=1),
-        )
+        with Telemetry() as telemetry:
+            solve_lp(
+                tiny_lp(),
+                label="stage1",
+                resilience=SolveResilience(max_retries=1),
+            )
         assert telemetry.counters["lp_retries"] == 2
         assert telemetry.counters["lp_backend_fallbacks"] == 1
         retry_records = telemetry.records_of("solve_retry")
@@ -188,8 +187,8 @@ class TestRetryTelemetry:
         assert solves and solves[-1]["backend"] == "simplex"
 
     def test_clean_solve_records_nothing_extra(self):
-        telemetry = Telemetry()
-        solve_lp(tiny_lp(), telemetry=telemetry, resilience=DEFAULT_RESILIENCE)
+        with Telemetry() as telemetry:
+            solve_lp(tiny_lp(), resilience=DEFAULT_RESILIENCE)
         assert "lp_retries" not in telemetry.counters
         assert "lp_backend_fallbacks" not in telemetry.counters
 

@@ -468,8 +468,8 @@ class TestCrashMatrix:
         )
         with pytest.raises(SimulatedCrash):
             sim.run(jobs)
-        telemetry = Telemetry()
-        Simulation.resume(path, telemetry=telemetry)
+        with Telemetry() as telemetry:
+            Simulation.resume(path)
         assert telemetry.counters.get("journal_resumes") == 1
         assert telemetry.counters.get("journal_commits", 0) >= 1
 
@@ -481,9 +481,10 @@ class TestDegradationLadder:
     def test_exhausted_budget_degrades_to_greedy_baseline(
         self, sim_net, sim_jobs
     ):
-        telemetry = Telemetry()
-        scheduler = Scheduler(sim_net, telemetry=telemetry)
-        result = scheduler.schedule(sim_jobs, budget=SolveBudget(1e-9))
+        with Telemetry() as telemetry:
+            result = Scheduler(sim_net).schedule(
+                sim_jobs, budget=SolveBudget(1e-9)
+            )
         assert result.degraded == "greedy_baseline"
         assert result.degraded_reason
         assert telemetry.counters["degraded_solves"] == 1
@@ -523,27 +524,25 @@ class TestDegradationLadder:
     ):
         """ISSUE acceptance: wall_time_s=0.01 never raises; epochs stay
         feasible (verify_epochs raises on any checker violation)."""
-        telemetry = Telemetry()
-        result = Simulation(
-            sim_net,
-            policy=policy,
-            solve_budget=SolveBudget(0.01),
-            telemetry=telemetry,
-            verify_epochs=True,
-        ).run(sim_jobs)
+        with Telemetry() as telemetry:
+            result = Simulation(
+                sim_net,
+                policy=policy,
+                solve_budget=SolveBudget(0.01),
+                verify_epochs=True,
+            ).run(sim_jobs)
         assert result.records  # ran to completion
         assert telemetry.counters.get("schedule_passes", 0) >= 1
 
     def test_microscopic_budget_forces_full_degradation(
         self, sim_net, sim_jobs
     ):
-        telemetry = Telemetry()
-        result = Simulation(
-            sim_net,
-            solve_budget=SolveBudget(1e-9),
-            telemetry=telemetry,
-            verify_epochs=True,
-        ).run(sim_jobs)
+        with Telemetry() as telemetry:
+            result = Simulation(
+                sim_net,
+                solve_budget=SolveBudget(1e-9),
+                verify_epochs=True,
+            ).run(sim_jobs)
         assert result.records
         assert telemetry.counters.get("degraded_solves", 0) >= 1
         from repro.sim import DegradedSolve

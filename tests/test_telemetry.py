@@ -1,6 +1,8 @@
 """Tests for the observability layer (repro.obs) and its pipeline hooks."""
 
+import asyncio
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from repro import (
 )
 from repro.core.ret import build_subret_lp, solve_subret_lp
 from repro.core.throughput import build_stage1_lp, solve_stage1
-from repro.obs import NULL_TELEMETRY, NullTelemetry
+from repro.obs import NULL_TELEMETRY, NullTelemetry, current
+from repro.service import ClosedLoopDriver, ReservationService
 
 
 @pytest.fixture
@@ -103,11 +106,54 @@ class TestTelemetryObject:
         assert not NullTelemetry.enabled and Telemetry.enabled
 
 
+class TestScopedCollector:
+    def test_no_collector_installed_is_null(self):
+        assert current() is NULL_TELEMETRY
+
+    def test_nested_collectors_restore_the_outer_one(self):
+        with Telemetry() as outer:
+            assert current() is outer
+            with Telemetry() as inner:
+                assert current() is inner
+                current().count("inner_only")
+            assert current() is outer
+            current().count("outer_only")
+        assert current() is NULL_TELEMETRY
+        assert inner.counters == {"inner_only": 1}
+        assert outer.counters == {"outer_only": 1}
+
+    def test_exception_restores_the_outer_collector(self):
+        with pytest.raises(RuntimeError):
+            with Telemetry():
+                raise RuntimeError("boom")
+        assert current() is NULL_TELEMETRY
+
+    def test_collector_does_not_leak_into_other_threads(self):
+        seen = []
+        with Telemetry():
+            thread = threading.Thread(target=lambda: seen.append(current()))
+            thread.start()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert seen == [NULL_TELEMETRY]
+
+    def test_collector_reaches_service_tasks_under_asyncio_run(
+        self, line3, line3_jobs, tmp_path
+    ):
+        service = ReservationService(line3, k_paths=2,
+                                     journal=str(tmp_path / "svc.jsonl"))
+        with Telemetry() as t:
+            asyncio.run(ClosedLoopDriver(service, line3_jobs).run())
+        service.close()
+        assert t.counters["service_ticks"] > 0
+        assert t.counters["journal_commits"] > 0
+
+
 class TestPipelineHooks:
     def test_structure_and_lp_records(self, line3_structure):
-        t = Telemetry()
-        solution = solve_lp(build_stage1_lp(line3_structure), telemetry=t,
-                            label="stage1")
+        with Telemetry() as t:
+            solution = solve_lp(build_stage1_lp(line3_structure),
+                                label="stage1")
         (record,) = t.records_of("lp_solve")
         assert record["label"] == "stage1"
         assert record["backend"] == "highs"
@@ -118,15 +164,15 @@ class TestPipelineHooks:
         assert t.counters["lp_solves"] == 1
 
     def test_structure_build_recorded(self, line3, line3_jobs, grid4):
-        t = Telemetry()
-        structure = ProblemStructure(line3, line3_jobs, grid4, 2, telemetry=t)
+        with Telemetry() as t:
+            structure = ProblemStructure(line3, line3_jobs, grid4, 2)
         (record,) = t.records_of("structure")
         assert record["num_cols"] == structure.num_cols
         assert t.span_stats["structure_build"].calls == 1
 
     def test_scheduler_spans_and_counters(self, line3, line3_jobs):
-        t = Telemetry()
-        Scheduler(line3, k_paths=2, telemetry=t).schedule(line3_jobs)
+        with Telemetry() as t:
+            Scheduler(line3, k_paths=2).schedule(line3_jobs)
         assert t.span_stats["schedule"].calls == 1
         assert t.seconds("schedule.stage1") > 0.0
         assert t.seconds("schedule.stage2") > 0.0
@@ -134,8 +180,8 @@ class TestPipelineHooks:
         assert t.records_of("greedy_adjust")
 
     def test_ret_trace_recorded(self, line3, overloaded_jobs):
-        t = Telemetry()
-        result = solve_ret(line3, overloaded_jobs, k_paths=2, telemetry=t)
+        with Telemetry() as t:
+            result = solve_ret(line3, overloaded_jobs, k_paths=2)
         probes = t.records_of("ret_probe")
         assert probes, "binary search left no trace"
         assert probes[0]["phase"] == "bounds"
@@ -148,8 +194,8 @@ class TestPipelineHooks:
         assert t.span_stats["ret"].calls == 1
 
     def test_simulation_scheduling_pass_span(self, line3, line3_jobs):
-        t = Telemetry()
-        Simulation(line3, k_paths=2, telemetry=t).run(line3_jobs)
+        with Telemetry() as t:
+            Simulation(line3, k_paths=2).run(line3_jobs)
         assert t.span_stats["scheduling_pass"].calls >= 1
 
 
@@ -158,9 +204,8 @@ class TestTelemetryIsPassive:
 
     def test_scheduler_assignments_identical(self, line3, line3_jobs):
         plain = Scheduler(line3, k_paths=2).schedule(line3_jobs)
-        measured = Scheduler(
-            line3, k_paths=2, telemetry=Telemetry()
-        ).schedule(line3_jobs)
+        with Telemetry():
+            measured = Scheduler(line3, k_paths=2).schedule(line3_jobs)
         assert np.array_equal(
             plain.assignments.x_lpdar, measured.assignments.x_lpdar
         )
@@ -170,9 +215,8 @@ class TestTelemetryIsPassive:
 
     def test_ret_assignments_identical(self, line3, overloaded_jobs):
         plain = solve_ret(line3, overloaded_jobs, k_paths=2)
-        measured = solve_ret(
-            line3, overloaded_jobs, k_paths=2, telemetry=Telemetry()
-        )
+        with Telemetry():
+            measured = solve_ret(line3, overloaded_jobs, k_paths=2)
         assert plain.b_final == measured.b_final
         assert plain.delta_steps == measured.delta_steps
         assert np.array_equal(
@@ -181,9 +225,8 @@ class TestTelemetryIsPassive:
 
     def test_simulation_outcomes_identical(self, line3, line3_jobs):
         plain = Simulation(line3, k_paths=2).run(line3_jobs)
-        measured = Simulation(line3, k_paths=2, telemetry=Telemetry()).run(
-            line3_jobs
-        )
+        with Telemetry():
+            measured = Simulation(line3, k_paths=2).run(line3_jobs)
         assert [r.status for r in plain.records] == [
             r.status for r in measured.records
         ]
@@ -215,9 +258,8 @@ class TestBackendParity:
         assert front.objective == pytest.approx(highs.objective, abs=1e-6)
 
     def test_simplex_backend_records_telemetry(self, line3_structure):
-        t = Telemetry()
-        solve_lp(build_stage1_lp(line3_structure), backend="simplex",
-                 telemetry=t)
+        with Telemetry() as t:
+            solve_lp(build_stage1_lp(line3_structure), backend="simplex")
         (record,) = t.records_of("lp_solve")
         assert record["backend"] == "simplex"
         assert record["iterations"] >= 0
