@@ -7,9 +7,10 @@ the reservation service, and the chaos runner all drive a single
 
 Layers, bottom up:
 
-* :mod:`~repro.control.kernel` — the kernel itself plus the shared
-  epoch primitives (fault cursor, stale-window predicate, used-edge
-  extraction, journal header/entry builders) and the
+* :mod:`~repro.control.kernel` — the kernel itself (with the run's
+  per-action planner cache) plus the shared epoch primitives (fault
+  cursor, stale-window predicate, used-edge extraction, journal config
+  encoding) and the
   :class:`EpochObservation` / :class:`EpochAction` /
   :class:`EpochOutcome` dataclasses.
 * :mod:`~repro.control.policies` — the :class:`ControlPolicy` protocol
@@ -29,10 +30,6 @@ from .kernel import (
     FaultDetection,
     advance_fault_cursor,
     base_action_for,
-    service_journal_entry,
-    service_journal_header,
-    simulation_journal_entry,
-    simulation_journal_header,
     used_edges,
     window_closed,
 )
@@ -57,10 +54,6 @@ __all__ = [
     "base_action_for",
     "window_closed",
     "used_edges",
-    "simulation_journal_header",
-    "simulation_journal_entry",
-    "service_journal_header",
-    "service_journal_entry",
     "ControlPolicy",
     "FixedPolicy",
     "AlphaBanditPolicy",

@@ -25,6 +25,13 @@ The contract, per epoch:
   with the mid-journal torn-write crash point) and
   :meth:`EpochKernel.advance` moves the clock.
 
+The kernel also holds the run's planner cache: one
+:class:`~repro.engine.ModelEngine` per ``k_paths``
+(:meth:`EpochKernel.engine_for`) and one
+:class:`~repro.core.scheduler.Scheduler` per action's knobs
+(:meth:`EpochKernel.scheduler_for`).  The configured base action is an
+ordinary entry; an adaptive policy's deviations add more.
+
 With no policy attached (``policy=None``) the kernel short-circuits:
 ``decide`` returns the driver's configured base action without building
 an observation, so the default path pays nothing for the surface.  With
@@ -33,25 +40,30 @@ the outputs are byte-identical — property-tested against pre-refactor
 golden journals in ``tests/test_control_equivalence.py``.
 
 The module-level helpers (:func:`window_closed`, :func:`used_edges`,
-:func:`advance_fault_cursor`, the journal header/entry builders) are the
-de-duplicated bodies of the methods the two drivers used to copy from
-each other; both import them from here now.
+:func:`advance_fault_cursor`) are the de-duplicated bodies of the
+methods the two drivers used to copy from each other.  Each driver
+names the constructor arguments its journal header records in one
+tuple; :func:`encode_run_config` writes them (with the solve budget,
+resilience and fault timeline) and :func:`decode_run_config` reads them
+back for ``resume``.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
+from ..core.scheduler import Scheduler
+from ..engine.engine import ModelEngine
 from ..errors import ValidationError
 from ..faults.events import FaultEvent, LinkDown, WavelengthDegrade
+from ..faults.schedule import FaultSchedule
+from ..lp.solver import SolveBudget, SolveResilience
 from ..obs import current
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
-    from ..faults.schedule import FaultSchedule
-    from ..lp.solver import SolveBudget
     from ..recovery.journal import EpochJournal
 
 __all__ = [
@@ -64,11 +76,8 @@ __all__ = [
     "advance_fault_cursor",
     "window_closed",
     "used_edges",
-    "solver_config_dict",
-    "simulation_journal_header",
-    "simulation_journal_entry",
-    "service_journal_header",
-    "service_journal_entry",
+    "encode_run_config",
+    "decode_run_config",
 ]
 
 _EPS = 1e-9
@@ -294,195 +303,73 @@ def used_edges(structure, x, tol: float) -> dict:
     return {job_id: frozenset(eids) for job_id, eids in used.items()}
 
 
-def solver_config_dict(solve_budget, resilience) -> dict:
-    """The journal-header fragment describing the solve configuration."""
-    return {
-        "solve_budget": (
-            {
-                "wall_time_s": solve_budget.wall_time_s,
-                "min_backend_time_s": solve_budget.min_backend_time_s,
-            }
-            if solve_budget is not None
-            else None
-        ),
-        "resilience": (
-            asdict(resilience) if resilience is not None else None
-        ),
-    }
+#: Config fields later journal revisions added: a header written before
+#: them omits them, and ``resume`` leaves the constructor default in place.
+_LATE_CONFIG_FIELDS = frozenset({"verify_epochs", "verify_solutions", "warm_start"})
 
 
-# ----------------------------------------------------------------------
-# Journal header / entry builders (moved verbatim from the drivers)
-# ----------------------------------------------------------------------
-def simulation_journal_header(
-    *,
-    network,
-    jobs,
-    horizon: float,
-    tau: float,
-    slice_length: float,
-    policy: str,
-    k_paths: int,
-    alpha: float,
-    ret_b_max: float,
-    ret_delta: float,
-    rejection: str,
-    verify_epochs: bool,
-    verify_solutions: bool,
-    warm_start: bool,
-    solve_budget,
-    resilience,
-    fault_schedule,
-) -> dict:
-    """The simulator journal's immutable run description (first line)."""
-    from ..serialization import (
-        fault_events_to_list,
-        jobs_to_dict,
-        network_to_dict,
-    )
+def encode_run_config(driver, fields: tuple[str, ...]) -> dict:
+    """A driver's journal-header run description.
 
-    return {
-        "network": network_to_dict(network),
-        "jobs": jobs_to_dict(jobs)["jobs"],
-        "horizon": float(horizon),
-        "config": {
-            "tau": tau,
-            "slice_length": slice_length,
-            "policy": policy,
-            "k_paths": k_paths,
-            "alpha": alpha,
-            "ret_b_max": ret_b_max,
-            "ret_delta": ret_delta,
-            "rejection": rejection,
-            "verify_epochs": verify_epochs,
-            "verify_solutions": verify_solutions,
-            "warm_start": warm_start,
-            # Always the one per-epoch planner; kept so existing
-            # journals and their resume digests stay byte-identical.
-            "planner": "monolithic",
-            **solver_config_dict(solve_budget, resilience),
-        },
-        "faults": (
-            fault_events_to_list(fault_schedule.events)
-            if fault_schedule is not None
-            else None
-        ),
-    }
-
-
-def simulation_journal_entry(
-    order: list,
-    records: Mapping,
-    now: float,
-    epoch: int,
-    fault_idx: int,
-    edge_map: Mapping,
-    new_events: Iterable,
-) -> dict:
-    """One committed-epoch record: the simulator's full mutable state."""
-    return {
-        "epoch": int(epoch),
-        "now": float(now),
-        "fault_idx": int(fault_idx),
-        "records": [
-            {
-                "job": records[i].job.id,
-                "status": records[i].status,
-                "remaining": records[i].remaining,
-                "effective_end": records[i].effective_end,
-                "completion_time": records[i].completion_time,
-            }
-            for i in order
-        ],
-        "used_edges": [
-            [job_id, sorted(int(e) for e in edges)]
-            for job_id, edges in sorted(
-                edge_map.items(), key=lambda kv: str(kv[0])
-            )
-        ],
-        "events": [
-            {"type": type(ev).__name__, **asdict(ev)} for ev in new_events
-        ],
-    }
-
-
-def service_journal_header(
-    *,
-    network,
-    tau: float,
-    slice_length: float,
-    k_paths: int,
-    queue_limit: int,
-    rate: float,
-    burst: float,
-    ret_b_max: float,
-    ret_delta: float,
-    renegotiate_limit: int,
-    warm_start: bool,
-    verify_solutions: bool,
-    solve_budget,
-    resilience,
-    fault_schedule,
-) -> dict:
-    """The service batch journal's immutable run description."""
+    Returns ``{"network", "config", "faults"}``: ``config`` holds every
+    attribute named in ``fields`` read off ``driver``, plus its solve
+    budget and resilience; ``faults`` is its fault timeline (``None``
+    without one).  :func:`decode_run_config` is the inverse.
+    """
     from ..serialization import fault_events_to_list, network_to_dict
 
-    config = {
-        "tau": tau,
-        "slice_length": slice_length,
-        "k_paths": k_paths,
-        "queue_limit": queue_limit,
-        "rate": rate,
-        "burst": burst,
-        "ret_b_max": ret_b_max,
-        "ret_delta": ret_delta,
-        "renegotiate_limit": renegotiate_limit,
-        "warm_start": warm_start,
-        "verify_solutions": verify_solutions,
-        **solver_config_dict(solve_budget, resilience),
-    }
+    budget = driver.solve_budget
+    resilience = driver.resilience
+    faults = driver.fault_schedule
     return {
-        "service": True,
-        "network": network_to_dict(network),
-        "config": config,
-        "faults": (
-            fault_events_to_list(fault_schedule.events)
-            if fault_schedule is not None
-            else None
-        ),
+        "network": network_to_dict(driver.network),
+        "config": {
+            **{name: getattr(driver, name) for name in fields},
+            "solve_budget": None if budget is None else {
+                "wall_time_s": budget.wall_time_s,
+                "min_backend_time_s": budget.min_backend_time_s,
+            },
+            "resilience": None if resilience is None else asdict(resilience),
+        },
+        "faults": None if faults is None else fault_events_to_list(faults.events),
     }
 
 
-def service_journal_entry(
-    *,
-    epoch: int,
-    now: float,
-    fault_idx: int,
-    bucket_tokens: float,
-    decisions: list,
-    transitions: list,
-    book,
-    internal: list,
-) -> dict:
-    """One committed-tick record: decisions, transitions, live residuals."""
-    return {
-        "epoch": int(epoch),
-        "now": float(now),
-        "fault_idx": int(fault_idx),
-        "bucket_tokens": float(bucket_tokens),
-        # The enriched ledger dicts (accepts carry endpoints/size):
-        # resume rebuilds the ledger byte-for-byte from these.
-        "decisions": [
-            dict(book.decided(str(d.request_id))) for d in decisions
-        ],
-        "transitions": transitions,
-        "active": [
-            [key, res.remaining, sorted(res.used_edges)]
-            for key, res in sorted(book.reservations.items())
-            if res.status == "accepted" and not res.done
-        ],
-        "internal": list(internal),
-    }
+def decode_run_config(header: Mapping, fields: tuple[str, ...], path) -> tuple:
+    """Invert :func:`encode_run_config`: ``(network, constructor kwargs)``.
+
+    The kwargs carry each of ``fields`` plus ``solve_budget``,
+    ``resilience`` and ``fault_schedule``.  A missing field raises
+    :class:`ValidationError` naming it, except the late-added ones, which
+    are left out so the constructor default applies.
+    """
+    from ..serialization import fault_events_from_list, network_from_dict
+
+    try:
+        network = network_from_dict(header["network"])
+        config = dict(header["config"])
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(
+            f"journal header at {path} is missing field {exc}"
+        ) from None
+    kwargs = {}
+    for name in fields:
+        if name in config:
+            kwargs[name] = config[name]
+        elif name not in _LATE_CONFIG_FIELDS:
+            raise ValidationError(
+                f"journal header at {path} is missing config field {name!r}"
+            )
+    budget = config.get("solve_budget")
+    resilience = config.get("resilience")
+    faults = header.get("faults")
+    kwargs["solve_budget"] = SolveBudget(**budget) if budget else None
+    kwargs["resilience"] = SolveResilience(**resilience) if resilience else None
+    kwargs["fault_schedule"] = (
+        None if faults is None
+        else FaultSchedule(network, fault_events_from_list(faults))
+    )
+    return network, kwargs
 
 
 # ----------------------------------------------------------------------
@@ -497,7 +384,8 @@ class EpochKernel:
     cursor), the per-epoch contract (``observe`` / ``decide`` /
     ``commit`` / ``advance``) and the cross-cutting hooks the drivers
     used to duplicate: crash points, solve-budget restarts, fault
-    detection with carried-plan invalidation, journal commits.
+    detection with carried-plan invalidation, journal commits, and the
+    per-action planner cache (:meth:`engine_for`, :meth:`scheduler_for`).
 
     Parameters
     ----------
@@ -510,10 +398,11 @@ class EpochKernel:
     policy:
         Optional :class:`~repro.control.policies.ControlPolicy`.
         ``None`` short-circuits the decide path entirely.
-    fault_schedule, crash_injector, solve_budget, engine:
+    fault_schedule, crash_injector, solve_budget:
         The shared infrastructure the kernel advances or fires on the
-        drivers' behalf.  ``engine`` is only used to invalidate carried
-        plans when a fault strikes.
+        drivers' behalf.
+    network, warm_start, resilience, verify_solutions:
+        What the planner cache builds its engines and schedulers with.
     now, epoch, fault_idx:
         Initial state; ``resume`` paths seed these from the journal.
     """
@@ -525,7 +414,10 @@ class EpochKernel:
     fault_schedule: object | None = None
     crash_injector: object | None = None
     solve_budget: object | None = None
-    engine: object | None = None
+    network: object | None = None
+    warm_start: bool = True
+    resilience: object | None = None
+    verify_solutions: bool = False
     now: float = 0.0
     epoch: int = 0
     fault_idx: int = 0
@@ -534,6 +426,43 @@ class EpochKernel:
     last_zstar: float | None = None
     last_overloaded: bool | None = None
     _cache_totals: dict = field(default_factory=dict, repr=False)
+    _engines: dict = field(default_factory=dict, repr=False)
+    _schedulers: dict = field(default_factory=dict, repr=False)
+
+    # -- planner cache --------------------------------------------------
+    def engine_for(self, k_paths: int) -> ModelEngine:
+        """The run's engine for ``k_paths``, built on first use.
+
+        One engine per path-set size for the whole run: path sets,
+        structure layouts and memoized solves carry over between epochs.
+        Every engine takes the run's ``resilience`` as its default, so
+        admission probes retry like the scheduler's own solves.
+        """
+        engine = self._engines.get(k_paths)
+        if engine is None:
+            engine = self._engines[k_paths] = ModelEngine(
+                self.network, k_paths, warm_start=self.warm_start,
+                resilience=self.resilience,
+            )
+        return engine
+
+    def scheduler_for(self, action: EpochAction) -> Scheduler:
+        """The scheduler for an action's alpha and ``k_paths`` knobs (cached)."""
+        key = (action.alpha, action.alpha_step, action.alpha_max, action.k_paths)
+        scheduler = self._schedulers.get(key)
+        if scheduler is None:
+            scheduler = self._schedulers[key] = Scheduler(
+                self.network,
+                k_paths=action.k_paths,
+                alpha=action.alpha,
+                alpha_step=action.alpha_step,
+                alpha_max=action.alpha_max,
+                slice_length=self.slice_length,
+                resilience=self.resilience,
+                engine=self.engine_for(action.k_paths),
+                verify_solutions=self.verify_solutions,
+            )
+        return scheduler
 
     # -- crash points ---------------------------------------------------
     def crash_point(self, point: str, epoch: int | None = None) -> None:
@@ -559,8 +488,6 @@ class EpochKernel:
         """
         if self.solve_budget is None or action.budget_scale == 1.0:
             return self.solve_budget
-        from ..lp.solver import SolveBudget
-
         budget = SolveBudget(
             self.solve_budget.wall_time_s * action.budget_scale,
             min_backend_time_s=self.solve_budget.min_backend_time_s,
@@ -581,11 +508,12 @@ class EpochKernel:
         self.fault_idx, detection = advance_fault_cursor(
             self.fault_schedule, self.fault_idx, t
         )
-        if detection.affected and self.engine is not None:
+        if detection.affected:
             # Carried plans routed before the fault are poor witnesses
             # after it: their feasibility certificates were built on the
             # pre-fault route set.
-            self.engine.invalidate_carried()
+            for engine in self._engines.values():
+                engine.invalidate_carried()
         return detection
 
     # -- observe / decide / feedback ------------------------------------
@@ -711,8 +639,7 @@ def base_action_for(
 
     ``alpha_step`` / ``alpha_max`` mirror the
     :class:`~repro.core.scheduler.Scheduler` constructor defaults the
-    drivers rely on; an action equal to the base is the signal that the
-    prebuilt scheduler can be reused unchanged.
+    drivers rely on.
     """
     return EpochAction(
         alpha=alpha,

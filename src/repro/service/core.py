@@ -61,15 +61,14 @@ from ..control.kernel import (
     EpochKernel,
     EpochOutcome,
     base_action_for,
-    service_journal_entry,
-    service_journal_header,
+    decode_run_config,
+    encode_run_config,
     used_edges,
     window_closed,
 )
 from ..core.admission import admit_max_prefix
 from ..core.metrics import per_slice_delivery
 from ..core.ret import solve_ret
-from ..core.scheduler import Scheduler
 from ..engine.engine import ModelEngine
 from ..errors import (
     BudgetExceededError,
@@ -157,6 +156,14 @@ class ReservationService:
         :class:`~repro.chaos.inject.JournalFaultInjector`).
     """
 
+    #: The constructor arguments the journal header records (besides the
+    #: network, solve budget, resilience and fault timeline).
+    _JOURNAL_FIELDS = (
+        "tau", "slice_length", "k_paths", "queue_limit", "rate", "burst",
+        "ret_b_max", "ret_delta", "renegotiate_limit", "warm_start",
+        "verify_solutions",
+    )
+
     def __init__(
         self,
         network: Network,
@@ -181,6 +188,8 @@ class ReservationService:
     ) -> None:
         if tau <= 0:
             raise ValidationError(f"tau must be positive, got {tau}")
+        if k_paths < 1:
+            raise ValidationError(f"k_paths must be >= 1, got {k_paths}")
         if queue_limit < 1:
             raise ValidationError(
                 f"queue_limit must be at least 1, got {queue_limit}"
@@ -213,18 +222,6 @@ class ReservationService:
         self.journal_fault_injector = journal_fault_injector
         self.stats = ServiceStats()
 
-        self._engine = ModelEngine(
-            network, k_paths, warm_start=warm_start, resilience=resilience,
-        )
-        self._scheduler = Scheduler(
-            network,
-            k_paths=k_paths,
-            slice_length=self.slice_length,
-            budget=solve_budget,
-            resilience=resilience,
-            engine=self._engine,
-            verify_solutions=self.verify_solutions,
-        )
         if (
             control_policy is not None
             and journal is not None
@@ -237,25 +234,23 @@ class ReservationService:
             )
         self.control_policy = control_policy
         # The shared epoch-control kernel: owns the epoch counter, the
-        # fault cursor, crash points, budget restarts and journal
-        # commits.  The service's ``epoch`` / ``_fault_idx`` attributes
-        # are views onto it.
+        # fault cursor, crash points, budget restarts, journal commits
+        # and the planner cache.  The service's ``epoch`` / ``_fault_idx``
+        # attributes are views onto it.
         self._kernel = EpochKernel(
             tau=self.tau,
             slice_length=self.slice_length,
-            base_action=base_action_for(
-                alpha=self._scheduler.alpha, k_paths=self.k_paths
-            ),
+            # alpha: the Scheduler's default fairness slack.
+            base_action=base_action_for(alpha=0.1, k_paths=self.k_paths),
             policy=control_policy,
             fault_schedule=fault_schedule,
             crash_injector=crash_injector,
             solve_budget=solve_budget,
-            engine=self._engine,
+            network=network,
+            warm_start=warm_start,
+            resilience=resilience,
+            verify_solutions=self.verify_solutions,
         )
-        #: Per-``k_paths`` engines and per-action schedulers for epochs
-        #: where an adaptive policy deviates from the base knobs.
-        self._engines_by_k: dict[int, ModelEngine] = {}
-        self._schedulers_by_action: dict[tuple, Scheduler] = {}
         self.book = CommitmentBook()
         #: Undecided external requests: key -> (request, handle).
         self._pending: dict[str, tuple[ReservationRequest, DecisionHandle]] = {}
@@ -575,8 +570,7 @@ class ReservationService:
                           else request_to_job(request, now)})
         return batch, shed
 
-    def _grid_and_paths(self, jobs: list[Job], now: float, engine=None):
-        engine = engine if engine is not None else self._engine
+    def _grid_and_paths(self, jobs: list[Job], now: float, engine: ModelEngine):
         horizon = max([j.end for j in jobs] + [now + self.tau])
         grid = TimeGrid.covering(horizon, self.slice_length, start=now)
         path_sets = None
@@ -622,7 +616,8 @@ class ReservationService:
         batch_jobs = [e["job"] for e in batch]
         all_jobs = committed_jobs + batch_jobs
         order = {str(j.id): i for i, j in enumerate(all_jobs)}
-        grid, path_sets = self._grid_and_paths(all_jobs, now)
+        engine = self._kernel.engine_for(self.k_paths)
+        grid, path_sets = self._grid_and_paths(all_jobs, now, engine)
 
         decision = admit_max_prefix(
             self.network,
@@ -631,7 +626,7 @@ class ReservationService:
             self.k_paths,
             threshold=1.0,
             key=lambda job: (order[str(job.id)],),
-            engine=self._engine,
+            engine=engine,
             budget=self.solve_budget,
             path_sets=path_sets,
         )
@@ -659,10 +654,10 @@ class ReservationService:
                 # reject — never an unproven accept, never a stall.
                 probe_paths = path_sets
                 if probe_paths is None:
-                    probe_paths = self._engine.topology.path_sets(
+                    probe_paths = engine.topology.path_sets(
                         list({(j.source, j.dest) for j in all_jobs})
                     )
-                witness = self._engine.certify_feasible(
+                witness = engine.certify_feasible(
                     JobSet(committed_jobs + [job]), grid, probe_paths
                 )
                 degraded_mark[key] = True
@@ -748,7 +743,7 @@ class ReservationService:
                 delta=self.ret_delta,
                 path_sets=path_sets,
                 budget=self.solve_budget,
-                engine=self._engine,
+                engine=self._kernel.engine_for(self.k_paths),
                 warm_start=self.warm_start,
             )
             b_final = max(ret.b_final, self.ret_delta)
@@ -795,42 +790,13 @@ class ReservationService:
         return replace(res.job, size=res.remaining, start=start,
                        arrival=start)
 
-    def _engine_for(self, k_paths: int) -> ModelEngine:
-        """The engine serving a (possibly policy-chosen) ``k_paths``."""
-        if k_paths == self.k_paths:
-            return self._engine
-        if k_paths not in self._engines_by_k:
-            self._engines_by_k[k_paths] = ModelEngine(
-                self.network, k_paths, warm_start=self.warm_start,
-                resilience=self.resilience,
-            )
-        return self._engines_by_k[k_paths]
-
-    def _scheduler_for(self, action, engine) -> Scheduler:
-        """A scheduler configured for a non-base epoch action (cached)."""
-        key = (action.alpha, action.alpha_step, action.alpha_max, action.k_paths)
-        if key not in self._schedulers_by_action:
-            self._schedulers_by_action[key] = Scheduler(
-                self.network,
-                k_paths=action.k_paths,
-                alpha=action.alpha,
-                alpha_step=action.alpha_step,
-                alpha_max=action.alpha_max,
-                slice_length=self.slice_length,
-                budget=self.solve_budget,
-                resilience=self.resilience,
-                engine=engine,
-                verify_solutions=self.verify_solutions,
-            )
-        return self._schedulers_by_action[key]
-
     def _schedule_and_execute(
-        self, now: float, action=None
+        self, now: float, action
     ) -> tuple[list[dict], float, int]:
         """Plan the committed set and deliver the first epoch of slices.
 
-        ``action`` optionally overrides the re-plan knobs for one tick
-        (a control policy's decision).  Returns the lifecycle
+        ``action`` holds the tick's re-plan knobs (the kernel's
+        decision).  Returns the lifecycle
         transitions plus the tick's ``(delivered volume, completions)``
         — the outcome signal fed back to the kernel's policy.
         """
@@ -849,17 +815,12 @@ class ReservationService:
         ]
         if not residual:
             return transitions, delivered, completed
-        base = action is None or action == self._kernel.base_action
-        engine = self._engine if base else self._engine_for(action.k_paths)
-        scheduler = self._scheduler if base else self._scheduler_for(action, engine)
-        budget = (
-            self.solve_budget if base else self._kernel.budget_for(action)
-        )
+        engine = self._kernel.engine_for(action.k_paths)
         grid, path_sets = self._grid_and_paths(residual, now, engine)
         try:
-            result = scheduler.schedule(
+            result = self._kernel.scheduler_for(action).schedule(
                 JobSet(residual), grid, path_sets=path_sets,
-                budget=budget,
+                budget=self._kernel.budget_for(action),
             )
         except ScheduleError:
             # Defensive: no feasible plan this tick (e.g. every path of a
@@ -898,23 +859,11 @@ class ReservationService:
     # Journal format
     # ------------------------------------------------------------------
     def _journal_header(self) -> dict:
-        return service_journal_header(
-            network=self.network,
-            tau=self.tau,
-            slice_length=self.slice_length,
-            k_paths=self.k_paths,
-            queue_limit=self.queue_limit,
-            rate=self.rate,
-            burst=self.burst,
-            ret_b_max=self.ret_b_max,
-            ret_delta=self.ret_delta,
-            renegotiate_limit=self.renegotiate_limit,
-            warm_start=self.warm_start,
-            verify_solutions=self.verify_solutions,
-            solve_budget=self.solve_budget,
-            resilience=self.resilience,
-            fault_schedule=self.fault_schedule,
-        )
+        """The batch journal's immutable run description (first line)."""
+        return {
+            "service": True,
+            **encode_run_config(self, self._JOURNAL_FIELDS),
+        }
 
     def _journal_entry(
         self,
@@ -923,16 +872,26 @@ class ReservationService:
         decisions: list[Decision],
         transitions: list[dict],
     ) -> dict:
-        return service_journal_entry(
-            epoch=epoch,
-            now=now,
-            fault_idx=self._fault_idx,
-            bucket_tokens=self._bucket_tokens,
-            decisions=decisions,
-            transitions=transitions,
-            book=self.book,
-            internal=self._internal,
-        )
+        """One committed tick: decisions, transitions, live residuals."""
+        book = self.book
+        return {
+            "epoch": int(epoch),
+            "now": float(now),
+            "fault_idx": int(self._fault_idx),
+            "bucket_tokens": float(self._bucket_tokens),
+            # The enriched ledger dicts (accepts carry endpoints/size):
+            # resume rebuilds the ledger byte-for-byte from these.
+            "decisions": [
+                dict(book.decided(str(d.request_id))) for d in decisions
+            ],
+            "transitions": transitions,
+            "active": [
+                [key, res.remaining, sorted(res.used_edges)]
+                for key, res in sorted(book.reservations.items())
+                if res.status == "accepted" and not res.done
+            ],
+            "internal": list(self._internal),
+        }
 
     # ------------------------------------------------------------------
     # Crash recovery
@@ -958,52 +917,17 @@ class ReservationService:
         ``solve_budget`` overrides the journaled budget configuration
         (pass ``None`` to restore the recorded one).
         """
-        from ..serialization import fault_events_from_list, network_from_dict
-
         replay = read_journal(path, entry_kind="batch")
         header = replay.header
-        try:
-            network = network_from_dict(header["network"])
-            config = dict(header["config"])
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(
-                f"service journal header at {path} is missing field {exc}"
-            ) from None
         if not header.get("service"):
             raise ValidationError(
                 f"journal at {path} is a simulator journal, not a "
                 "reservation-service journal; use Simulation.resume"
             )
-        fault_schedule = None
-        if header.get("faults") is not None:
-            fault_schedule = FaultSchedule(
-                network, fault_events_from_list(header["faults"])
-            )
-        if solve_budget is None and config.get("solve_budget"):
-            solve_budget = SolveBudget(**config["solve_budget"])
-        resilience = (
-            SolveResilience(**config["resilience"])
-            if config.get("resilience")
-            else None
-        )
-        service = cls(
-            network,
-            tau=config["tau"],
-            slice_length=config["slice_length"],
-            k_paths=config["k_paths"],
-            queue_limit=config["queue_limit"],
-            rate=config["rate"],
-            burst=config["burst"],
-            solve_budget=solve_budget,
-            resilience=resilience,
-            crash_injector=crash_injector,
-            fault_schedule=fault_schedule,
-            ret_b_max=config["ret_b_max"],
-            ret_delta=config["ret_delta"],
-            renegotiate_limit=config["renegotiate_limit"],
-            warm_start=config.get("warm_start", True),
-            verify_solutions=config.get("verify_solutions", False),
-        )
+        network, config = decode_run_config(header, cls._JOURNAL_FIELDS, path)
+        if solve_budget is not None:
+            config["solve_budget"] = solve_budget
+        service = cls(network, **config, crash_injector=crash_injector)
         for entry in replay.entries:
             for data in entry["decisions"]:
                 decision = decision_from_dict(data)

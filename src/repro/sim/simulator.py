@@ -24,7 +24,7 @@ paper's earlier companion papers quantified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Literal
 
@@ -34,8 +34,8 @@ from ..control.kernel import (
     EpochKernel,
     EpochOutcome,
     base_action_for,
-    simulation_journal_entry,
-    simulation_journal_header,
+    decode_run_config,
+    encode_run_config,
     used_edges as shared_used_edges,
     window_closed,
 )
@@ -54,7 +54,6 @@ from ..workload.jobs import Job, JobSet
 from ..core.admission import admit_greedy, admit_max_prefix, by_arrival
 from ..core.metrics import mean_link_utilization, per_slice_delivery
 from ..core.ret import solve_ret
-from ..core.scheduler import Scheduler
 from .events import (
     DegradedSolve,
     DeliveryLost,
@@ -229,7 +228,8 @@ class Simulation:
         cost at the scheduling stage.
     resilience:
         Optional :class:`~repro.lp.solver.SolveResilience` for every LP
-        solve in the run.  Defaults to
+        solve in the run, the ``reject`` policy's admission probes
+        included.  Defaults to
         :data:`~repro.lp.solver.DEFAULT_RESILIENCE` when a
         ``fault_schedule`` is given (a fault run should not die on a
         transient solver failure) and to single-shot solving otherwise.
@@ -304,6 +304,14 @@ class Simulation:
     and an ``epoch_cache_stats`` record reports the engine's reuse.
     """
 
+    #: The constructor arguments the journal header records (besides the
+    #: network, solve budget, resilience and fault timeline).
+    _JOURNAL_FIELDS = (
+        "tau", "slice_length", "policy", "k_paths", "alpha", "ret_b_max",
+        "ret_delta", "rejection", "verify_epochs", "verify_solutions",
+        "warm_start",
+    )
+
     def __init__(
         self,
         network: Network,
@@ -340,6 +348,8 @@ class Simulation:
             raise ValidationError(f"unknown policy {policy!r}")
         if rejection not in ("prefix", "greedy"):
             raise ValidationError(f"unknown rejection variant {rejection!r}")
+        if k_paths < 1:
+            raise ValidationError(f"k_paths must be >= 1, got {k_paths}")
         self.rejection = rejection
         self.network = network
         self.tau = float(tau)
@@ -368,11 +378,6 @@ class Simulation:
         self.warm_start = bool(warm_start)
         self.verify_solutions = bool(verify_solutions)
         self.journal_fault_injector = journal_fault_injector
-        # One engine for the whole run: path sets, structure layouts and
-        # memoized RET probe solves carry over between epochs.  A cold
-        # engine (--no-warm-start) rebuilds everything from scratch each
-        # epoch; results are identical either way.
-        self._engine = ModelEngine(network, k_paths, warm_start=self.warm_start)
         if journal is not None:
             if capacity_profile is not None:
                 raise ValidationError(
@@ -407,11 +412,6 @@ class Simulation:
                     "replayed on resume"
                 )
         self.control_policy = control_policy
-        #: Per-``k_paths`` engines and per-action schedulers, built
-        #: lazily the first epoch an adaptive policy deviates from the
-        #: base knobs and reused for the rest of the run.
-        self._engines_by_k: dict[int, ModelEngine] = {}
-        self._schedulers_by_action: dict[tuple, Scheduler] = {}
 
     # ------------------------------------------------------------------
     def run(self, jobs: JobSet, horizon: float | None = None) -> SimulationResult:
@@ -438,8 +438,6 @@ class Simulation:
         if horizon is None:
             # Generous default: latest deadline plus full RET headroom.
             horizon = (1.0 + self.ret_b_max) * jobs.max_end()
-        records = {j.id: JobRecord(j, j.end, j.size) for j in jobs}
-        order = [j.id for j in jobs]
         journal = None
         if self.journal_path is not None:
             journal = EpochJournal.create(
@@ -448,18 +446,7 @@ class Simulation:
             # Attached after create(): the header write must succeed, or
             # there is no journal to fail-stop around.
             journal.fault_injector = self.journal_fault_injector
-        return self._controller(
-            jobs,
-            float(horizon),
-            records,
-            order,
-            events=[],
-            now=0.0,
-            epoch=0,
-            fault_idx=0,
-            used_edges={},
-            journal=journal,
-        )
+        return self._start(jobs, float(horizon), journal)
 
     @classmethod
     def resume(
@@ -489,11 +476,7 @@ class Simulation:
         missing or unusable (see
         :func:`~repro.recovery.journal.read_journal`).
         """
-        from ..serialization import (
-            fault_events_from_list,
-            jobs_from_dict,
-            network_from_dict,
-        )
+        from ..serialization import jobs_from_dict
 
         replay = read_journal(path)
         header = replay.header
@@ -502,122 +485,64 @@ class Simulation:
                 f"{path} is a reservation-service journal; "
                 "use ReservationService.resume"
             )
+        network, config = decode_run_config(header, cls._JOURNAL_FIELDS, path)
         try:
-            network = network_from_dict(header["network"])
             jobs = jobs_from_dict({"jobs": header["jobs"]})
-            config = dict(header["config"])
             horizon = float(header["horizon"])
         except (KeyError, TypeError) as exc:
             raise ValidationError(
                 f"journal header at {path} is missing field {exc}"
             ) from None
-        planner = config.get("planner", "monolithic")
+        planner = header["config"].get("planner", "monolithic")
         if planner != "monolithic":
             raise ValidationError(
                 f"journal header at {path} names planner {planner!r}; "
                 "only the monolithic planner exists"
             )
-        fault_schedule = None
-        if header.get("faults") is not None:
-            fault_schedule = FaultSchedule(
-                network, fault_events_from_list(header["faults"])
-            )
-        solve_budget = (
-            SolveBudget(**config["solve_budget"])
-            if config.get("solve_budget")
-            else None
-        )
-        resilience = (
-            SolveResilience(**config["resilience"])
-            if config.get("resilience")
-            else None
-        )
         sim = cls(
             network,
-            tau=config["tau"],
-            slice_length=config["slice_length"],
-            policy=config["policy"],
-            k_paths=config["k_paths"],
-            alpha=config["alpha"],
-            ret_b_max=config["ret_b_max"],
-            ret_delta=config["ret_delta"],
-            rejection=config["rejection"],
-            verify_epochs=config.get("verify_epochs", False),
-            fault_schedule=fault_schedule,
-            resilience=resilience,
+            **config,
             journal=path,
-            solve_budget=solve_budget,
-            warm_start=config.get("warm_start", True),
-            verify_solutions=config.get("verify_solutions", False),
             crash_injector=crash_injector,
             journal_fault_injector=journal_fault_injector,
         )
-        records = {j.id: JobRecord(j, j.end, j.size) for j in jobs}
-        order = [j.id for j in jobs]
-        events: list[Event] = []
-        for entry in replay.entries:
-            for ev in entry.get("events", ()):
-                events.append(event_from_dict(ev))
-        now, epoch, fault_idx = 0.0, 0, 0
-        used_edges: dict[int | str, frozenset[int]] = {}
-        last = replay.last_entry
-        if last is not None:
-            now = float(last["now"])
-            epoch = int(last["epoch"])
-            fault_idx = int(last["fault_idx"])
-            for rec_data in last["records"]:
-                rec = records[rec_data["job"]]
-                rec.status = str(rec_data["status"])
-                rec.remaining = float(rec_data["remaining"])
-                rec.effective_end = float(rec_data["effective_end"])
-                ct = rec_data["completion_time"]
-                rec.completion_time = float(ct) if ct is not None else None
-            used_edges = {
-                row[0]: frozenset(int(e) for e in row[1])
-                for row in last.get("used_edges", ())
-            }
         journal = EpochJournal.open_existing(path)
         journal.fault_injector = journal_fault_injector
         current().count("journal_resumes")
-        return sim._run_loop(
-            jobs,
-            horizon,
-            records,
-            order,
-            events,
-            now,
-            epoch,
-            fault_idx,
-            used_edges,
-            journal,
-        )
+        _kernel, steps = sim._start(jobs, horizon, journal, replay)
+        return sim._drive(steps)
 
     # ------------------------------------------------------------------
     def _journal_header(self, jobs: JobSet, horizon: float) -> dict:
         """The journal's immutable run description (first line)."""
-        return simulation_journal_header(
-            network=self.network,
-            jobs=jobs,
-            horizon=horizon,
-            tau=self.tau,
-            slice_length=self.slice_length,
-            policy=self.policy,
-            k_paths=self.k_paths,
-            alpha=self.alpha,
-            ret_b_max=self.ret_b_max,
-            ret_delta=self.ret_delta,
-            rejection=self.rejection,
-            verify_epochs=self.verify_epochs,
-            verify_solutions=self.verify_solutions,
-            warm_start=self.warm_start,
-            solve_budget=self.solve_budget,
-            resilience=self.resilience,
-            fault_schedule=self.fault_schedule,
-        )
+        from ..serialization import jobs_to_dict
 
-    def _make_kernel(self, now: float, epoch: int, fault_idx: int) -> EpochKernel:
-        """One run's shared epoch-control kernel, seeded at a boundary."""
-        return EpochKernel(
+        header = encode_run_config(self, self._JOURNAL_FIELDS)
+        # Always the one per-epoch planner; kept so existing journals and
+        # their resume digests stay byte-identical.
+        header["config"]["planner"] = "monolithic"
+        header["jobs"] = jobs_to_dict(jobs)["jobs"]
+        header["horizon"] = float(horizon)
+        return header
+
+    def _start(
+        self,
+        jobs: JobSet,
+        horizon: float,
+        journal: EpochJournal | None,
+        replay=None,
+    ):
+        """Seed one run's state: ``(kernel, paused controller generator)``.
+
+        A fresh run starts every job pending at time zero.  ``resume``
+        passes the journal's ``replay``: its committed events come back
+        into the log and its last entry's records, cursor and used edges
+        overlay the fresh state.
+        """
+        records = {j.id: JobRecord(j, j.end, j.size) for j in jobs}
+        events: list[Event] = []
+        used_edges: dict[int | str, frozenset[int]] = {}
+        kernel = EpochKernel(
             tau=self.tau,
             slice_length=self.slice_length,
             base_action=base_action_for(
@@ -630,38 +555,37 @@ class Simulation:
             fault_schedule=self.fault_schedule,
             crash_injector=self.crash_injector,
             solve_budget=self.solve_budget,
-            engine=self._engine,
-            now=now,
-            epoch=epoch,
-            fault_idx=fault_idx,
+            network=self.network,
+            warm_start=self.warm_start,
+            resilience=self.resilience,
+            verify_solutions=self.verify_solutions,
         )
-
-    def _engine_for(self, k_paths: int) -> ModelEngine:
-        """The engine serving a (possibly policy-chosen) ``k_paths``."""
-        if k_paths == self.k_paths:
-            return self._engine
-        if k_paths not in self._engines_by_k:
-            self._engines_by_k[k_paths] = ModelEngine(
-                self.network, k_paths, warm_start=self.warm_start
-            )
-        return self._engines_by_k[k_paths]
-
-    def _scheduler_for(self, action, engine) -> Scheduler:
-        """A scheduler configured for a non-base epoch action (cached)."""
-        key = (action.alpha, action.alpha_step, action.alpha_max, action.k_paths)
-        if key not in self._schedulers_by_action:
-            self._schedulers_by_action[key] = Scheduler(
-                self.network,
-                k_paths=action.k_paths,
-                alpha=action.alpha,
-                alpha_step=action.alpha_step,
-                alpha_max=action.alpha_max,
-                slice_length=self.slice_length,
-                resilience=self.resilience,
-                engine=engine,
-                verify_solutions=self.verify_solutions,
-            )
-        return self._schedulers_by_action[key]
+        last = None
+        if replay is not None:
+            for entry in replay.entries:
+                events.extend(
+                    event_from_dict(ev) for ev in entry.get("events", ())
+                )
+            last = replay.last_entry
+        if last is not None:
+            kernel.now = float(last["now"])
+            kernel.epoch = int(last["epoch"])
+            kernel.fault_idx = int(last["fault_idx"])
+            for rec_data in last["records"]:
+                rec = records[rec_data["job"]]
+                rec.status = str(rec_data["status"])
+                rec.remaining = float(rec_data["remaining"])
+                rec.effective_end = float(rec_data["effective_end"])
+                ct = rec_data["completion_time"]
+                rec.completion_time = float(ct) if ct is not None else None
+            used_edges = {
+                row[0]: frozenset(int(e) for e in row[1])
+                for row in last.get("used_edges", ())
+            }
+        steps = self._epoch_steps(
+            kernel, jobs, horizon, records, events, used_edges, journal
+        )
+        return kernel, steps
 
     @staticmethod
     def _drive(steps) -> SimulationResult:
@@ -673,59 +597,12 @@ class Simulation:
         except StopIteration as stop:
             return stop.value
 
-    def _run_loop(
-        self,
-        jobs: JobSet,
-        horizon: float,
-        records: dict,
-        order: list,
-        events: list,
-        now: float,
-        epoch: int,
-        fault_idx: int,
-        used_edges: dict,
-        journal: EpochJournal | None,
-    ) -> SimulationResult:
-        """Drive the controller from an arbitrary committed state.
-
-        ``run`` enters it with fresh state, ``resume`` with state
-        replayed from a journal; everything the loop mutates is either
-        an argument or derived from one, so the two entry points share
-        every line of epoch logic.
-        """
-        kernel, steps = self._controller(
-            jobs, horizon, records, order, events, now, epoch, fault_idx,
-            used_edges, journal,
-        )
-        return self._drive(steps)
-
-    def _controller(
-        self,
-        jobs: JobSet,
-        horizon: float,
-        records: dict,
-        order: list,
-        events: list,
-        now: float,
-        epoch: int,
-        fault_idx: int,
-        used_edges: dict,
-        journal: EpochJournal | None,
-    ):
-        """Build the kernel + paused controller generator pair."""
-        kernel = self._make_kernel(now, epoch, fault_idx)
-        steps = self._epoch_steps(
-            kernel, jobs, horizon, records, order, events, used_edges, journal
-        )
-        return kernel, steps
-
     def _epoch_steps(
         self,
         kernel: EpochKernel,
         jobs: JobSet,
         horizon: float,
         records: dict,
-        order: list,
         events: list,
         used_edges: dict,
         journal: EpochJournal | None,
@@ -741,16 +618,8 @@ class Simulation:
         """
         kept_schedules: list = []
         verification: list = []
-        base_scheduler = Scheduler(
-            self.network,
-            k_paths=self.k_paths,
-            alpha=self.alpha,
-            slice_length=self.slice_length,
-            resilience=self.resilience,
-            engine=self._engine,
-            verify_solutions=self.verify_solutions,
-        )
-        base_paths = self._engine.topology.path_sets(jobs.od_pairs())
+        base_engine = kernel.engine_for(self.k_paths)
+        base_paths = base_engine.topology.path_sets(jobs.od_pairs())
 
         journal_mark = len(events)
 
@@ -759,15 +628,31 @@ class Simulation:
             nonlocal journal_mark
             if journal is None:
                 return
-            entry = simulation_journal_entry(
-                order,
-                records,
-                kernel.now,
-                kernel.epoch,
-                kernel.fault_idx,
-                used_edges,
-                events[journal_mark:],
-            )
+            entry = {
+                "epoch": int(kernel.epoch),
+                "now": float(kernel.now),
+                "fault_idx": int(kernel.fault_idx),
+                "records": [
+                    {
+                        "job": rec.job.id,
+                        "status": rec.status,
+                        "remaining": rec.remaining,
+                        "effective_end": rec.effective_end,
+                        "completion_time": rec.completion_time,
+                    }
+                    for rec in records.values()
+                ],
+                "used_edges": [
+                    [job_id, sorted(int(e) for e in edges)]
+                    for job_id, edges in sorted(
+                        used_edges.items(), key=lambda kv: str(kv[0])
+                    )
+                ],
+                "events": [
+                    {"type": type(ev).__name__, **asdict(ev)}
+                    for ev in events[journal_mark:]
+                ],
+            }
             kernel.commit(journal, entry, crash_epoch=crash_epoch)
             journal_mark = len(events)
 
@@ -840,12 +725,7 @@ class Simulation:
                 action = kernel.decide(obs)
             else:
                 action = action.validate()
-            engine = self._engine_for(action.k_paths)
-            epoch_scheduler = (
-                base_scheduler
-                if action == kernel.base_action
-                else self._scheduler_for(action, engine)
-            )
+            engine = kernel.engine_for(action.k_paths)
             budget = kernel.budget_for(action)
 
             kernel.crash_point("pre-solve")
@@ -879,10 +759,10 @@ class Simulation:
                     if epoch_paths is None and profile is None:
                         epoch_paths = (
                             base_paths
-                            if engine is self._engine
+                            if engine is base_engine
                             else engine.topology.path_sets(residual.od_pairs())
                         )
-                    result = epoch_scheduler.schedule(
+                    result = kernel.scheduler_for(action).schedule(
                         residual,
                         grid,
                         capacity_profile=profile,
@@ -955,7 +835,7 @@ class Simulation:
         if journal is not None:
             journal.close()  # run finished: release the append lock
         return SimulationResult(
-            records=tuple(records[i] for i in order),
+            records=tuple(records.values()),
             events=tuple(events),
             horizon=float(horizon),
             schedules=tuple(kept_schedules),
@@ -970,7 +850,7 @@ class Simulation:
         return np.ceil(t / self.tau - 1e-9) * self.tau
 
     def _route_around_faults(
-        self, residual: JobSet, now: float, engine: ModelEngine | None = None
+        self, residual: JobSet, now: float, engine: ModelEngine
     ) -> tuple[JobSet | None, dict | None]:
         """Rebuild paths without currently failed links; hold cut-off jobs.
 
@@ -981,7 +861,6 @@ class Simulation:
         failed = self.fault_schedule.failed_edges_at(now)
         if not failed:
             return residual, None
-        engine = engine if engine is not None else self._engine
         epoch_paths = engine.topology.path_sets(
             residual.od_pairs(), banned_edges=failed
         )
@@ -1060,39 +939,34 @@ class Simulation:
         records: dict,
         now: float,
         events: list,
-        path_sets: dict | None = None,
-        action=None,
-        engine: ModelEngine | None = None,
-        budget: SolveBudget | None = None,
+        path_sets: dict | None,
+        action,
+        engine: ModelEngine,
+        budget: SolveBudget | None,
     ) -> JobSet | None:
         """Admission action; may reject jobs or extend deadlines in place.
 
         ``path_sets`` carries the fault-aware routes (failed links
         banned) so the ``extend`` policy's RET search cannot plan an
-        extension over capacity that no longer exists.  ``action`` /
-        ``engine`` / ``budget`` override the run's configured knobs for
-        one epoch (a control policy's decision); left at ``None`` they
-        fall back to the constructor configuration.
+        extension over capacity that no longer exists.  ``action``,
+        ``engine`` and ``budget`` are the epoch's decided knobs, the
+        engine serving its ``k_paths`` and its solve budget.
         """
-        policy = self.policy if action is None else action.admission_policy
-        rejection = self.rejection if action is None else action.rejection
-        k_paths = self.k_paths if action is None else action.k_paths
-        engine = engine if engine is not None else self._engine
-        if action is None:
-            budget = self.solve_budget
-        if policy == "reduce":
+        if action.admission_policy == "reduce":
             return residual
 
-        if policy == "reject":
+        if action.admission_policy == "reject":
             grid = TimeGrid.covering(
                 max(residual.max_end(), now + self.tau), self.slice_length, start=now
             )
-            admit = admit_greedy if rejection == "greedy" else admit_max_prefix
+            admit = (
+                admit_greedy if action.rejection == "greedy" else admit_max_prefix
+            )
             decision = admit(
                 self.network,
                 residual,
                 grid,
-                k_paths,
+                action.k_paths,
                 threshold=1.0,
                 key=by_arrival,
                 engine=engine,
@@ -1127,7 +1001,7 @@ class Simulation:
                 self.network,
                 residual,
                 slice_length=self.slice_length,
-                k_paths=k_paths,
+                k_paths=action.k_paths,
                 b_max=self.ret_b_max,
                 delta=self.ret_delta,
                 path_sets=path_sets,

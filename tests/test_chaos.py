@@ -41,10 +41,11 @@ from repro.chaos import (
 )
 from repro.engine.backend import get_backend
 from repro.errors import JournalWriteError
-from repro.lp.solver import SolveResilience
+from repro.lp.solver import DEFAULT_RESILIENCE, SolveResilience
 from repro.network import topologies
 from repro.parallel.fleet import TaskSpec, run_fleet
 from repro.recovery.journal import EpochJournal, read_journal
+from repro.verify.fuzz import make_scenario
 
 NO_PERTURB = SolveResilience(perturbation=0.0)
 
@@ -228,6 +229,29 @@ class TestFaultyBackend:
                 sim.run(jobs, horizon=4.0)
         replay = read_journal(path)
         assert len(replay.entries) == 0
+
+    @pytest.mark.parametrize("rejection", ["prefix", "greedy"])
+    def test_reject_admission_probe_retries_under_resilience(
+        self, rejection
+    ):
+        # The reject policy's admission probes run through the run's
+        # engine, which must carry the run's resilience: one transient
+        # backend failure costs a retry, not the run.
+        scenario = make_scenario(1, allow_faults=False)
+
+        def run():
+            return Simulation(
+                scenario.network, policy="reject", rejection=rejection,
+                resilience=DEFAULT_RESILIENCE,
+            ).run(scenario.jobs)
+
+        clean = run()
+        assert clean.num_rejected > 0  # the probes decide something
+        with install_faulty_backend((BackendFault("raise", 0),)) as backend:
+            result = run()
+        assert backend.injected == 1
+        assert ([r.status for r in result.records]
+                == [r.status for r in clean.records])
 
     def test_registry_restored_after_context(self):
         original = get_backend("highs")

@@ -32,7 +32,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import Simulation
@@ -41,6 +41,7 @@ from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.recovery import CrashInjector, SimulatedCrash
 from repro.service import ReservationService
 from repro.service.driver import ClosedLoopDriver
+from repro.sim import SchedulingPass
 from repro.verify.fuzz import make_scenario
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "control_golden.json"
@@ -155,6 +156,9 @@ class TestGoldenServiceJournals:
 class TestFixedPolicyInvisible:
     @SOLVER_SETTINGS
     @given(seed=seeds)
+    # Faults cut every job off in these scenarios, so no LP is solved.
+    @example(seed=245)
+    @example(seed=2041)
     def test_sim_journals_line_identical(self, seed, tmp_path_factory):
         scenario = make_scenario(seed)  # fault timelines included
         admission = ("reduce", "extend", "reject")[seed % 3]
@@ -168,7 +172,9 @@ class TestFixedPolicyInvisible:
                 scenario, tmp_path_factory.mktemp("profiled"), None,
                 admission)
         assert bare == fixed == profiled
-        assert telemetry.counters["lp_solves"] > 0
+        assert telemetry.counters["journal_commits"] > 0
+        if any(isinstance(e, SchedulingPass) for e in bare_result.events):
+            assert telemetry.counters["lp_solves"] > 0
         assert ([r.status for r in bare_result.records]
                 == [r.status for r in fixed_result.records])
         assert bare_result.delivered_volume == pytest.approx(
