@@ -30,7 +30,8 @@ The kernel also holds the run's planner cache: one
 (:meth:`EpochKernel.engine_for`) and one
 :class:`~repro.core.scheduler.Scheduler` per action's knobs
 (:meth:`EpochKernel.scheduler_for`).  The configured base action is an
-ordinary entry; an adaptive policy's deviations add more.
+ordinary entry; an adaptive policy's deviations add more.  And it holds
+the fault model both drivers plan and deliver each epoch through.
 
 With no policy attached (``policy=None``) the kernel short-circuits:
 ``decide`` returns the driver's configured base action without building
@@ -61,7 +62,9 @@ from ..errors import ValidationError
 from ..faults.events import FaultEvent, LinkDown, WavelengthDegrade
 from ..faults.schedule import FaultSchedule
 from ..lp.solver import SolveBudget, SolveResilience
+from ..network.capacity import CapacityProfile
 from ..obs import current
+from ..timegrid import TimeGrid
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from ..recovery.journal import EpochJournal
@@ -81,6 +84,8 @@ __all__ = [
 ]
 
 _EPS = 1e-9
+#: Grants (in wavelengths) below this carry nothing worth voiding.
+_GRANT_TOL = 1e-6
 
 #: Engine-reuse telemetry counters whose per-epoch deltas
 #: :meth:`EpochKernel.cache_delta` reports.
@@ -387,6 +392,14 @@ class EpochKernel:
     detection with carried-plan invalidation, journal commits, and the
     per-action planner cache (:meth:`engine_for`, :meth:`scheduler_for`).
 
+    Each epoch plans on what the controller can see at ``now`` and
+    delivers what the network really carried.  :meth:`grid_for` is the
+    planning grid, :meth:`routes` the path sets around links down at
+    ``now``, :meth:`planning_profile` the capacities (maintenance and
+    the fault snapshot), and :meth:`realize` the executed slices with
+    volume lost to mid-epoch faults voided.  Admission probes and RET
+    searches take the routes but plan on installed capacity.
+
     Parameters
     ----------
     tau, slice_length:
@@ -515,6 +528,88 @@ class EpochKernel:
             for engine in self._engines.values():
                 engine.invalidate_carried()
         return detection
+
+    # -- the epoch's view of the network --------------------------------
+    def grid_for(self, jobs) -> TimeGrid:
+        """The epoch's grid: from ``now`` over every window, at least one epoch."""
+        horizon = max([job.end for job in jobs] + [self.now + self.tau])
+        return TimeGrid.covering(horizon, self.slice_length, start=self.now)
+
+    def routes(self, jobs, engine: ModelEngine) -> dict | None:
+        """Path sets for ``jobs`` avoiding the links failed at ``now``.
+
+        ``None`` when no link is down, so the engine's own routes apply.
+        A pair the failures disconnect maps to an empty list; the driver
+        decides what that means (the simulator holds the job until a
+        repair, the service's admission rejects it).
+        """
+        if self.fault_schedule is None:
+            return None
+        failed = self.fault_schedule.failed_edges_at(self.now)
+        if not failed:
+            return None
+        return engine.topology.path_sets(
+            [(job.source, job.dest) for job in jobs], banned_edges=failed
+        )
+
+    def planning_profile(self, grid: TimeGrid, maintenance=None):
+        """Capacities to plan the epoch against (``None``: installed).
+
+        ``maintenance`` is an absolute-time
+        :class:`~repro.network.capacity.CapacityProfile`, re-based onto
+        ``grid``.  The fault side is the *snapshot* at ``now`` held
+        constant: the controller knows which links are down or degraded
+        now, not when they will be repaired.
+        """
+        profile = maintenance.for_grid(grid) if maintenance is not None else None
+        if self.fault_schedule is None:
+            return profile
+        snap = self.fault_schedule.snapshot_profile(grid, self.now)
+        if profile is None:
+            return snap
+        return CapacityProfile(
+            self.network, grid, np.minimum(profile.matrix, snap.matrix)
+        )
+
+    def realize(self, structure, x) -> tuple[list[int], np.ndarray]:
+        """The executed slices (starting before ``now + tau``) and ``x``
+        scaled to what the true fault timeline let through.
+
+        Per executed slice, an edge whose planned load exceeds its
+        worst-case capacity (``min_capacity_over`` the slice) scales the
+        grants crossing it by ``capacity / load``, to zero on a full cut;
+        a grant keeps the smallest factor on its path, so no (edge,
+        slice) carries more than it had.  Returns ``x`` itself when
+        nothing was lost.
+        """
+        grid = structure.grid
+        x = np.asarray(x, dtype=float)
+        executed = [
+            j for j in range(grid.num_slices)
+            if grid.slice_start(j) < self.now + self.tau - _EPS
+        ]
+        if self.fault_schedule is None:
+            return executed, x
+        x_eff = x.copy()
+        paths = structure.paths
+        for j in executed:
+            caps = self.fault_schedule.min_capacity_over(
+                grid.slice_start(j), grid.slice_end(j)
+            )
+            cols = np.flatnonzero((structure.col_slice == j) & (x > _GRANT_TOL))
+            edges = [
+                list(paths[structure.col_job[c]][structure.col_path[c]].edge_ids)
+                for c in cols
+            ]
+            load = np.zeros(self.network.num_edges)
+            for c, ids in zip(cols, edges):
+                load[ids] += x[c]
+            over = load > caps + _GRANT_TOL
+            factor = np.ones_like(load)
+            factor[over] = caps[over] / load[over]
+            for c, ids in zip(cols, edges):
+                x_eff[c] = x[c] * min(1.0, factor[ids].min())
+        return executed, (x if np.array_equal(x_eff, x) else x_eff)
 
     # -- observe / decide / feedback ------------------------------------
     @property

@@ -390,63 +390,6 @@ def _record_solve(
     telemetry.count("lp_iterations", solution.iterations)
 
 
-def _check_solution(
-    problem: LinearProgram,
-    solution: LPSolution,
-    backend: str,
-    tol: float = 1e-6,
-) -> None:
-    """Reject a backend solution that violates its own LP.
-
-    Backends are pluggable (:func:`repro.engine.backend.register_backend`)
-    and therefore untrusted; a buggy — or chaos-wrapped — backend can
-    return a point that satisfies nothing it was asked to.  The check is
-    purely syntactic against the LP handed to the backend: finite values
-    of the right shape, inside the bounds box, and within tolerance of
-    every constraint row.  Violations raise :class:`SolverError`, which
-    the resilient solve chain treats like any other backend failure —
-    retry, then fall back to the reference simplex.
-    """
-    x = np.asarray(solution.x, dtype=float)
-    if x.shape != (problem.num_vars,):
-        raise SolverError(
-            f"backend {backend!r} returned a solution of shape {x.shape}; "
-            f"expected ({problem.num_vars},)",
-            backend=backend,
-        )
-    if not np.all(np.isfinite(x)):
-        raise SolverError(
-            f"backend {backend!r} returned non-finite solution values",
-            backend=backend,
-        )
-    lo, hi = problem.bounds_arrays()
-    slack = tol * np.maximum(np.abs(x), 1.0)
-    if np.any(x < lo - slack) or np.any(x > hi + slack):
-        raise SolverError(
-            f"backend {backend!r} returned an out-of-bounds solution",
-            backend=backend,
-        )
-    if problem.a_ub is not None:
-        resid = problem.a_ub @ x - problem.b_ub
-        bound = tol * np.maximum(np.abs(problem.b_ub), 1.0)
-        if np.any(resid > bound):
-            raise SolverError(
-                f"backend {backend!r} returned an infeasible point: "
-                f"inequality residual {float(np.max(resid - bound)):g} "
-                "above tolerance",
-                backend=backend,
-            )
-    if problem.a_eq is not None:
-        resid = np.abs(problem.a_eq @ x - problem.b_eq)
-        bound = tol * np.maximum(np.abs(problem.b_eq), 1.0)
-        if np.any(resid > bound):
-            raise SolverError(
-                f"backend {backend!r} returned a point violating an "
-                "equality row",
-                backend=backend,
-            )
-
-
 def _perturbed(problem: LinearProgram, relax: float) -> LinearProgram:
     """Copy of ``problem`` with every inequality rhs relaxed by ``relax``.
 
@@ -475,7 +418,6 @@ def solve_lp(
     label: str | None = None,
     resilience: SolveResilience | None = None,
     budget: SolveBudget | None = None,
-    validate: bool = False,
 ) -> LPSolution:
     """Solve ``problem``; raise typed errors on failure.
 
@@ -508,14 +450,6 @@ def solve_lp(
         never retried by the resilience chain — running out of wall
         time is a policy decision for the caller's degradation ladder,
         not a solver failure.
-    validate:
-        Treat the backend as untrusted: check the returned point against
-        the LP's own bounds and constraint rows (see
-        :func:`_check_solution`) and raise :class:`SolverError` on a
-        violation.  Composes with ``resilience`` — a wrong solution is
-        retried and ultimately repaired by the fallback backend, which
-        is how the chaos engine's ``FaultyBackend`` wrong-solution mode
-        is survived at the solve layer.
 
     Raises
     ------
@@ -541,10 +475,7 @@ def solve_lp(
     if budget is not None:
         budget.check(label or "lp_solve")
     if resilience is None:
-        solution = backend_obj.solve(problem, label=label, budget=budget)
-        if validate:
-            _check_solution(problem, solution, backend)
-        return solution
+        return backend_obj.solve(problem, label=label, budget=budget)
 
     tried: list[str] = []
     retries = 0
@@ -559,10 +490,7 @@ def solve_lp(
         )
         tried.append(backend)
         try:
-            solution = backend_obj.solve(candidate, label=label, budget=budget)
-            if validate:
-                _check_solution(candidate, solution, backend)
-            return solution
+            return backend_obj.solve(candidate, label=label, budget=budget)
         except (InfeasibleProblemError, UnboundedProblemError):
             raise  # modelling outcomes, not failures: never retried
         except SolverError as exc:
@@ -590,12 +518,9 @@ def solve_lp(
         if budget is not None:
             budget.check(label or "lp_solve")
         try:
-            solution = get_backend(fallback).solve(
+            return get_backend(fallback).solve(
                 problem, label=label, budget=budget
             )
-            if validate:
-                _check_solution(problem, solution, fallback)
-            return solution
         except (InfeasibleProblemError, UnboundedProblemError):
             raise
         except SolverError as exc:

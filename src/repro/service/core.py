@@ -55,8 +55,6 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from ..control.kernel import (
     EpochKernel,
     EpochOutcome,
@@ -69,7 +67,6 @@ from ..control.kernel import (
 from ..core.admission import admit_max_prefix
 from ..core.metrics import per_slice_delivery
 from ..core.ret import solve_ret
-from ..engine.engine import ModelEngine
 from ..errors import (
     BudgetExceededError,
     ScheduleError,
@@ -81,7 +78,6 @@ from ..network.graph import Network
 from ..obs import current
 from ..recovery.crash import CrashInjector
 from ..recovery.journal import EpochJournal, read_journal
-from ..timegrid import TimeGrid
 from ..workload.jobs import Job, JobSet
 from .book import CommitmentBook, Reservation
 from .requests import (
@@ -570,19 +566,6 @@ class ReservationService:
                           else request_to_job(request, now)})
         return batch, shed
 
-    def _grid_and_paths(self, jobs: list[Job], now: float, engine: ModelEngine):
-        horizon = max([j.end for j in jobs] + [now + self.tau])
-        grid = TimeGrid.covering(horizon, self.slice_length, start=now)
-        path_sets = None
-        if self.fault_schedule is not None:
-            failed = self.fault_schedule.failed_edges_at(now)
-            if failed:
-                pairs = list({(j.source, j.dest) for j in jobs})
-                path_sets = engine.topology.path_sets(
-                    pairs, banned_edges=failed
-                )
-        return grid, path_sets
-
     def _decide(
         self,
         batch: list[dict],
@@ -617,7 +600,8 @@ class ReservationService:
         all_jobs = committed_jobs + batch_jobs
         order = {str(j.id): i for i, j in enumerate(all_jobs)}
         engine = self._kernel.engine_for(self.k_paths)
-        grid, path_sets = self._grid_and_paths(all_jobs, now, engine)
+        grid = self._kernel.grid_for(all_jobs)
+        path_sets = self._kernel.routes(all_jobs, engine)
 
         decision = admit_max_prefix(
             self.network,
@@ -652,13 +636,10 @@ class ReservationService:
                 # Budget died before this request's probe: fall back to
                 # the sound feasibility witness, then a deterministic
                 # reject — never an unproven accept, never a stall.
-                probe_paths = path_sets
-                if probe_paths is None:
-                    probe_paths = engine.topology.path_sets(
-                        list({(j.source, j.dest) for j in all_jobs})
-                    )
+                probe = JobSet(committed_jobs + [job])
                 witness = engine.certify_feasible(
-                    JobSet(committed_jobs + [job]), grid, probe_paths
+                    probe, grid,
+                    path_sets or engine.topology.path_sets(probe.od_pairs()),
                 )
                 degraded_mark[key] = True
                 if witness:
@@ -744,7 +725,6 @@ class ReservationService:
                 path_sets=path_sets,
                 budget=self.solve_budget,
                 engine=self._kernel.engine_for(self.k_paths),
-                warm_start=self.warm_start,
             )
             b_final = max(ret.b_final, self.ret_delta)
         except (ScheduleError, BudgetExceededError):
@@ -796,9 +776,10 @@ class ReservationService:
         """Plan the committed set and deliver the first epoch of slices.
 
         ``action`` holds the tick's re-plan knobs (the kernel's
-        decision).  Returns the lifecycle
-        transitions plus the tick's ``(delivered volume, completions)``
-        — the outcome signal fed back to the kernel's policy.
+        decision).  Delivery counts only what the kernel's ``realize``
+        says the links carried.  Returns the lifecycle transitions plus
+        the tick's ``(delivered volume, completions)`` — the outcome
+        signal fed back to the kernel's policy.
         """
         transitions: list[dict] = []
         delivered = 0.0
@@ -815,12 +796,16 @@ class ReservationService:
         ]
         if not residual:
             return transitions, delivered, completed
-        engine = self._kernel.engine_for(action.k_paths)
-        grid, path_sets = self._grid_and_paths(residual, now, engine)
+        kernel = self._kernel
+        grid = kernel.grid_for(residual)
         try:
-            result = self._kernel.scheduler_for(action).schedule(
-                JobSet(residual), grid, path_sets=path_sets,
-                budget=self._kernel.budget_for(action),
+            result = kernel.scheduler_for(action).schedule(
+                JobSet(residual), grid,
+                capacity_profile=kernel.planning_profile(grid),
+                path_sets=kernel.routes(
+                    residual, kernel.engine_for(action.k_paths)
+                ),
+                budget=kernel.budget_for(action),
             )
         except ScheduleError:
             # Defensive: no feasible plan this tick (e.g. every path of a
@@ -830,11 +815,8 @@ class ReservationService:
         if result.degraded is not None:
             current().count("service_degraded_solves")
         structure = result.structure
-        delivery = per_slice_delivery(structure, np.asarray(result.x))
-        executed = [
-            j for j in range(grid.num_slices)
-            if grid.slice_start(j) < now + self.tau - _EPS
-        ]
+        executed, x = kernel.realize(structure, result.x)
+        delivery = per_slice_delivery(structure, x)
         rate = self.network.wavelength_rate
         # The service's volume tolerance is the tight 1e-9 (ledger
         # residuals are exact), versus the simulator's looser 1e-6.

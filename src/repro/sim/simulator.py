@@ -44,12 +44,10 @@ from ..errors import BudgetExceededError, ScheduleError, ValidationError
 from ..faults.events import LinkDown, WavelengthDegrade
 from ..faults.schedule import FaultSchedule
 from ..lp.solver import DEFAULT_RESILIENCE, SolveBudget, SolveResilience
-from ..network.capacity import CapacityProfile
 from ..network.graph import Network
 from ..obs import current
 from ..recovery.crash import CrashInjector
 from ..recovery.journal import EpochJournal, read_journal
-from ..timegrid import TimeGrid
 from ..workload.jobs import Job, JobSet
 from ..core.admission import admit_greedy, admit_max_prefix, by_arrival
 from ..core.metrics import mean_link_utilization, per_slice_delivery
@@ -211,21 +209,28 @@ class Simulation:
         Optional :class:`~repro.network.capacity.CapacityProfile` in
         *absolute* time: maintenance windows and background load the
         online controller must schedule around.  Re-based onto each
-        epoch's grid automatically; slices past the profile's horizon
-        fall back to installed capacity.  Applies to the scheduling
-        passes; the ``extend`` policy's RET extension search does not
-        see it (the resulting schedule still honours it).
+        epoch's grid and intersected with the fault snapshot
+        (:meth:`~repro.control.EpochKernel.planning_profile`); slices
+        past the profile's horizon fall back to installed capacity.
+        Applies to the scheduling passes; the ``extend`` policy's RET
+        extension search does not see it (the resulting schedule still
+        honours it).
     fault_schedule:
         Optional :class:`~repro.faults.FaultSchedule` of link failures,
         degradations and repairs.  The controller detects faults at
         epoch boundaries (emitting ``LinkFailed`` / ``LinkDegraded`` /
-        ``LinkRestored``), voids in-flight volume a mid-epoch fault
-        destroyed (``DeliveryLost``), and replans surviving jobs with
-        paths rebuilt around dead links (``JobRescheduled``); jobs whose
-        endpoints are disconnected are held until repair.  Admission
-        decisions under the ``reject`` policy still use installed
-        capacity — the controller only learns of a fault's throughput
-        cost at the scheduling stage.
+        ``LinkRestored``), replans surviving jobs on the boundary's
+        fault snapshot with paths rebuilt around dead links
+        (``JobRescheduled``), and voids executed volume a mid-epoch
+        fault destroyed (``DeliveryLost``); jobs whose endpoints are
+        disconnected are held until repair.  These rules are the
+        kernel's (:meth:`~repro.control.EpochKernel.routes`,
+        :meth:`~repro.control.EpochKernel.planning_profile`,
+        :meth:`~repro.control.EpochKernel.realize`), shared with the
+        reservation service.  The ``reject`` policy's admission probes
+        and the ``extend`` policy's RET search avoid dead links but
+        still assume installed capacity — the controller only learns of
+        a degradation's throughput cost at the scheduling stage.
     resilience:
         Optional :class:`~repro.lp.solver.SolveResilience` for every LP
         solve in the run, the ``reject`` policy's admission probes
@@ -618,9 +623,6 @@ class Simulation:
         """
         kept_schedules: list = []
         verification: list = []
-        base_engine = kernel.engine_for(self.k_paths)
-        base_paths = base_engine.topology.path_sets(jobs.od_pairs())
-
         journal_mark = len(events)
 
         def commit(crash_epoch: int | None = None) -> None:
@@ -739,33 +741,28 @@ class Simulation:
             #    also feeds the SchedulingPass event's solve time).
             telemetry = current()
             with telemetry.span("scheduling_pass") as pass_span:
-                epoch_paths = None
-                if self.fault_schedule is not None:
-                    residual, epoch_paths = self._route_around_faults(
-                        residual, now, engine
-                    )
+                epoch_paths = kernel.routes(residual, engine)
+                if epoch_paths is not None:
+                    # Hold the jobs the failures cut off: they stay
+                    # active, delivering nothing, until a repair
+                    # reconnects them or their window expires.
+                    routable = [
+                        j for j in residual if epoch_paths[(j.source, j.dest)]
+                    ]
+                    residual = JobSet(routable) if routable else None
                 if residual is not None:
                     residual = self._apply_policy(
-                        residual, records, now, events, epoch_paths,
+                        residual, records, kernel, events, epoch_paths,
                         action=action, engine=engine, budget=budget,
                     )
                 if residual is not None:
-                    grid = TimeGrid.covering(
-                        max(residual.max_end(), now + self.tau),
-                        self.slice_length,
-                        start=now,
-                    )
-                    profile = self._epoch_profile(grid, now)
-                    if epoch_paths is None and profile is None:
-                        epoch_paths = (
-                            base_paths
-                            if engine is base_engine
-                            else engine.topology.path_sets(residual.od_pairs())
-                        )
+                    grid = kernel.grid_for(residual)
                     result = kernel.scheduler_for(action).schedule(
                         residual,
                         grid,
-                        capacity_profile=profile,
+                        capacity_profile=kernel.planning_profile(
+                            grid, self.capacity_profile
+                        ),
                         path_sets=epoch_paths,
                         budget=budget,
                     )
@@ -813,7 +810,7 @@ class Simulation:
             # 5. Execute the first tau worth of slices, then commit the
             #    post-execution state as this epoch's journal record.
             delivered, completed = self._execute(
-                result, records, now, events, verification
+                kernel, result, records, events, verification
             )
             kernel.crash_point("pre-commit")
             pass_epoch = kernel.epoch
@@ -848,49 +845,6 @@ class Simulation:
     def _advance_to(self, t: float) -> float:
         """Next epoch boundary at or after ``t``."""
         return np.ceil(t / self.tau - 1e-9) * self.tau
-
-    def _route_around_faults(
-        self, residual: JobSet, now: float, engine: ModelEngine
-    ) -> tuple[JobSet | None, dict | None]:
-        """Rebuild paths without currently failed links; hold cut-off jobs.
-
-        Jobs whose endpoints are disconnected by the failures cannot be
-        scheduled this epoch; they stay ``active`` (delivering nothing)
-        until a repair reconnects them or their window expires.
-        """
-        failed = self.fault_schedule.failed_edges_at(now)
-        if not failed:
-            return residual, None
-        epoch_paths = engine.topology.path_sets(
-            residual.od_pairs(), banned_edges=failed
-        )
-        routable = [j for j in residual if epoch_paths[(j.source, j.dest)]]
-        if len(routable) == len(residual):
-            return residual, epoch_paths
-        return (JobSet(routable) if routable else None), epoch_paths
-
-    def _epoch_profile(self, grid: TimeGrid, now: float):
-        """Planning capacities for one epoch: maintenance ∧ fault state.
-
-        The fault side is the *snapshot* at ``now`` held constant: the
-        controller knows which links are currently down or degraded but
-        not when they will be repaired, so it plans as if the present
-        state persists.
-        """
-        profile = (
-            self.capacity_profile.for_grid(grid)
-            if self.capacity_profile is not None
-            else None
-        )
-        if self.fault_schedule is not None:
-            snap = self.fault_schedule.snapshot_profile(grid, now)
-            if profile is None:
-                profile = snap
-            else:
-                profile = CapacityProfile(
-                    self.network, grid, np.minimum(profile.matrix, snap.matrix)
-                )
-        return profile
 
     def _residual_jobs(self, records: dict, now: float) -> JobSet | None:
         """Unfinished admitted jobs, re-windowed to start at ``now``."""
@@ -937,7 +891,7 @@ class Simulation:
         self,
         residual: JobSet,
         records: dict,
-        now: float,
+        kernel: EpochKernel,
         events: list,
         path_sets: dict | None,
         action,
@@ -946,26 +900,25 @@ class Simulation:
     ) -> JobSet | None:
         """Admission action; may reject jobs or extend deadlines in place.
 
-        ``path_sets`` carries the fault-aware routes (failed links
-        banned) so the ``extend`` policy's RET search cannot plan an
-        extension over capacity that no longer exists.  ``action``,
+        ``path_sets`` carries the kernel's fault-aware routes (failed
+        links banned) so neither the ``reject`` probe nor the ``extend``
+        policy's RET search plans over a dead link; both still assume
+        installed capacity on the links that are up.  ``action``,
         ``engine`` and ``budget`` are the epoch's decided knobs, the
         engine serving its ``k_paths`` and its solve budget.
         """
         if action.admission_policy == "reduce":
             return residual
 
+        now = kernel.now
         if action.admission_policy == "reject":
-            grid = TimeGrid.covering(
-                max(residual.max_end(), now + self.tau), self.slice_length, start=now
-            )
             admit = (
                 admit_greedy if action.rejection == "greedy" else admit_max_prefix
             )
             decision = admit(
                 self.network,
                 residual,
-                grid,
+                kernel.grid_for(residual),
                 action.k_paths,
                 threshold=1.0,
                 key=by_arrival,
@@ -977,7 +930,7 @@ class Simulation:
                 events.append(
                     DegradedSolve(
                         now,
-                        int(round(now / self.tau)),
+                        kernel.epoch,
                         "admission",
                         "solve budget expired during the admission probe",
                     )
@@ -1063,77 +1016,31 @@ class Simulation:
         verification.append(report)
         report.raise_if_failed()
 
-    def _void_lost_volume(
-        self, structure, x: np.ndarray, executed: list
-    ) -> np.ndarray:
-        """Scale executed grants down to what the faulted links carried.
-
-        The schedule was planned against the epoch-boundary snapshot; a
-        fault striking *inside* the epoch silently removes capacity the
-        plan assumed.  Per executed slice, every edge whose planned load
-        exceeds its worst-case actual capacity scales the grants
-        crossing it by ``capacity / load`` (to zero on a full cut); a
-        grant's surviving fraction is the minimum over its path's edges,
-        which guarantees delivered volume never exceeds actual capacity
-        on any (edge, slice).
-        """
-        fs = self.fault_schedule
-        grid = structure.grid
-        x_eff = x.copy()
-        changed = False
-        for j in executed:
-            caps = fs.min_capacity_over(grid.slice_start(j), grid.slice_end(j))
-            cols = np.flatnonzero((structure.col_slice == j) & (x > _VOLUME_TOL))
-            if cols.size == 0:
-                continue
-            load = np.zeros(self.network.num_edges)
-            edge_lists = []
-            for c in cols:
-                i = int(structure.col_job[c])
-                path = structure.paths[i][int(structure.col_path[c])]
-                edge_lists.append(path.edge_ids)
-                for e in path.edge_ids:
-                    load[e] += x[c]
-            factor = np.ones(self.network.num_edges)
-            over = load > caps + _VOLUME_TOL
-            factor[over] = caps[over] / load[over]
-            for c, edge_ids in zip(cols, edge_lists):
-                f = min(factor[e] for e in edge_ids)
-                if f < 1.0:
-                    x_eff[c] = x[c] * f
-                    changed = True
-        return x_eff if changed else x
-
     def _execute(
         self,
+        kernel: EpochKernel,
         result,
         records: dict,
-        now: float,
         events: list,
-        verification: list | None = None,
+        verification: list,
     ) -> tuple[float, int]:
         """Deliver the first epoch's slices of the freshly computed schedule.
 
+        Volume the kernel's ``realize`` voids is a ``DeliveryLost`` event.
         Returns ``(delivered volume, completions)`` for the epoch — the
         outcome signal the control kernel feeds back to its policy.
         """
         delivered = 0.0
         completions = 0
+        now = kernel.now
         structure = result.structure
         grid = structure.grid
-        executed = [
-            j
-            for j in range(grid.num_slices)
-            if grid.slice_start(j) < now + self.tau - 1e-9
-        ]
+        x = np.asarray(result.x, dtype=float)
+        executed, x_eff = kernel.realize(structure, x)
         if not executed:
             return delivered, completions
-        x = np.asarray(result.x, dtype=float)
-        x_eff = x
-        if self.fault_schedule is not None:
-            x_eff = self._void_lost_volume(structure, x, executed)
-            if self.verify_epochs and x_eff is not x and verification is not None:
-                self._verify_realized(structure, x_eff, executed, verification)
+        if self.verify_epochs and x_eff is not x:
+            self._verify_realized(structure, x_eff, executed, verification)
         delivery = per_slice_delivery(structure, x_eff)
         planned = delivery if x_eff is x else per_slice_delivery(structure, x)
         rate = self.network.wavelength_rate
