@@ -29,7 +29,7 @@ from ..lp.solver import SolveBudget
 from ..network.graph import Network
 from ..timegrid import TimeGrid
 from ..workload.jobs import Job, JobSet
-from .throughput import build_stage1_lp, solve_stage1
+from .throughput import solve_stage1
 
 __all__ = [
     "by_arrival",
@@ -175,13 +175,7 @@ def admit_max_prefix(
         structure = engine.structure(
             JobSet(schedulable[:count]), grid, path_sets=path_sets
         )
-        solution = engine.cached_solve(
-            structure,
-            "stage1",
-            lambda: build_stage1_lp(structure),
-            budget=budget,
-        )
-        return float(solution.x[-1])
+        return solve_stage1(structure, budget=budget, engine=engine).zstar
 
     # Binary search the largest count with Z*(prefix) >= threshold,
     # tracking (lo, Z*(lo)) so the budget-exhausted exit below never

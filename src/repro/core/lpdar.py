@@ -21,6 +21,7 @@ than the job still needs) and *random* order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -112,7 +113,6 @@ def greedy_adjust(
     grants_made = 0
     granted_wavelengths = 0
     with telemetry.span("greedy_adjust"):
-        x = x.copy()
         residual = structure.residual_capacity(x)
         if residual.min(initial=0.0) < -1e-9:
             raise ValidationError("input assignment already violates capacity")
@@ -127,47 +127,61 @@ def greedy_adjust(
                 raise ValidationError(
                     f"targets must have shape ({num_jobs},), got {targets.shape}"
                 )
-        deficits = targets - structure.delivered(x)
-
-        first = structure.first_slice
-        span = structure.span
-        offsets = structure.job_offset
-        lengths = structure.grid.lengths
+        # The walk runs on Python ints and floats: per slice, the residual
+        # column is a list and a path's bottleneck is ``min`` over its
+        # edge ids.  The deficits see the same IEEE arithmetic as NumPy
+        # scalars would, so the result is the same ``x``.
+        deficits = (targets - structure.delivered(x)).tolist()
+        columns = residual.T.tolist()
+        x_out = x.tolist()
+        starts = structure.first_slice.tolist()
+        spans = structure.span.tolist()
+        offsets = structure.job_offset.tolist()
+        lengths = structure.grid.lengths.tolist()
         path_edges = [
-            [np.asarray(p.edge_ids, dtype=np.int64) for p in structure.paths[i]]
-            for i in range(num_jobs)
+            [p.edge_ids for p in structure.paths[i]] for i in range(num_jobs)
         ]
+        # Jobs whose window admits each slice, in job order.
+        num_slices = structure.grid.num_slices
+        active_in: list[list[int]] = [[] for _ in range(num_slices)]
+        for i, (start, count) in enumerate(zip(starts, spans)):
+            for j in range(start, min(start + count, num_slices)):
+                active_in[j].append(i)
 
-        for j in range(structure.grid.num_slices):
-            # Jobs whose window admits slice j.
-            active = np.nonzero((first <= j) & (j < first + span))[0]
-            if active.size == 0:
+        for j, active in enumerate(active_in):
+            if not active:
                 continue
-            if order == "deficit_first":
-                active = active[np.argsort(-deficits[active], kind="stable")]
-            elif order == "random":
-                active = rng.permutation(active)
-            len_j = float(lengths[j])
+            if order == "random":
+                active = rng.permutation(np.array(active, dtype=np.intp))
+                active = active.tolist()
+            elif order == "deficit_first":
+                active.sort(key=lambda i: -deficits[i])
+            column = columns[j]
+            bottleneck = column.__getitem__
+            len_j = lengths[j]
             for i in active:
                 if cap_at_target and deficits[i] <= 1e-12:
                     continue
-                base = int(offsets[i]) + (j - int(first[i]))
-                sp_i = int(span[i])
-                for p, edges in enumerate(path_edges[i]):
-                    visited += 1
-                    grant = int(residual[edges, j].min())
+                base = offsets[i] + (j - starts[i])
+                sp_i = spans[i]
+                paths = path_edges[i]
+                visited += len(paths)
+                for p, edges in enumerate(paths):
+                    grant = min(map(bottleneck, edges))
                     if grant <= 0:
                         continue
                     if cap_at_target:
-                        needed = int(np.ceil(deficits[i] / len_j - 1e-12))
+                        needed = math.ceil(deficits[i] / len_j - 1e-12)
                         grant = min(grant, needed)
                         if grant <= 0:
                             continue
-                    x[base + p * sp_i] += grant
-                    residual[edges, j] -= grant
+                    x_out[base + p * sp_i] += grant
+                    for e in edges:
+                        column[e] -= grant
                     deficits[i] -= grant * len_j
                     grants_made += 1
                     granted_wavelengths += grant
+        x = np.array(x_out, dtype=float)
     telemetry.record(
         "greedy_adjust",
         order=order,

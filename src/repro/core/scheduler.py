@@ -260,6 +260,12 @@ class Scheduler:
     Each :meth:`schedule` call reports structure assembly, the
     stage-1/stage-2 solves and the LPDAR rounding to the
     :func:`~repro.obs.current` collector under a ``"schedule"`` span.
+
+    Stage 1 goes through the engine (its solve memo and backend), so a
+    stage-1 LP an admission probe already solved is replayed verbatim.
+    Stage 2 always solves with :func:`~repro.lp.solver.solve_lp`'s
+    default HiGHS backend: its LP changes with every alpha, so the memo
+    could not replay it.
     """
 
     def __init__(
@@ -402,8 +408,13 @@ class Scheduler:
                     [j.weight if j.weight is not None else j.size for j in jobs]
                 )
             try:
+                # Through the engine memo: a stage-1 LP an admission
+                # probe already solved this tick is replayed verbatim.
                 stage1 = solve_stage1(
-                    structure, resilience=self.resilience, budget=budget
+                    structure,
+                    resilience=self.resilience,
+                    budget=budget,
+                    engine=self.engine,
                 )
             except BudgetExceededError as exc:
                 # Rung 3: nothing solved; greedy from an empty assignment.

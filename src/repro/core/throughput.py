@@ -15,6 +15,7 @@ feeds the stage-2 fairness floor and the overload classification:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,6 +28,9 @@ from ..lp.solver import (
     solve_lp,
 )
 from ..obs import current
+
+if TYPE_CHECKING:
+    from ..engine.engine import ModelEngine
 
 __all__ = ["Stage1Result", "build_stage1_lp", "solve_stage1"]
 
@@ -89,6 +93,7 @@ def solve_stage1(
     structure: ProblemStructure,
     resilience: SolveResilience | None = None,
     budget: SolveBudget | None = None,
+    engine: ModelEngine | None = None,
 ) -> Stage1Result:
     """Solve the stage-1 MCF problem and return ``Z*``.
 
@@ -98,16 +103,28 @@ def solve_stage1(
     under a ``"stage1"`` telemetry span; ``resilience``
     (optional) enables :func:`~repro.lp.solver.solve_lp`'s bounded
     retry / backend-fallback chain; ``budget`` (optional) forwards a
-    :class:`~repro.lp.solver.SolveBudget` deadline to the solve.
+    :class:`~repro.lp.solver.SolveBudget` deadline to the solve.  With
+    an ``engine`` the solve goes through
+    :meth:`~repro.engine.ModelEngine.cached_solve` (its ``"stage1"``
+    memo, backend and default resilience), so a stage-1 LP the engine
+    already solved is replayed verbatim.
     """
     with current().span("stage1"):
-        problem = build_stage1_lp(structure)
-        solution = solve_lp(
-            problem,
-            label="stage1",
-            resilience=resilience,
-            budget=budget,
-        )
+        if engine is None:
+            solution = solve_lp(
+                build_stage1_lp(structure),
+                label="stage1",
+                resilience=resilience,
+                budget=budget,
+            )
+        else:
+            solution = engine.cached_solve(
+                structure,
+                "stage1",
+                lambda: build_stage1_lp(structure),
+                resilience=resilience,
+                budget=budget,
+            )
     zstar = float(solution.x[-1])
     return Stage1Result(
         zstar=zstar, x=solution.x[:-1].copy(), solution=solution

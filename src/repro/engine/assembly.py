@@ -35,18 +35,28 @@ def append_column(matrix: sp.spmatrix, values: np.ndarray | None = None) -> sp.c
 
     The stage-1 LP appends a ``Z`` variable to the shared column space;
     its equality block needs a ``-d`` column, its capacity block a zero
-    column.  Both are this one helper.
+    column.  Both are this one helper.  The CSR arrays are written
+    directly (the new column is every row's last entry), which gives
+    ``sp.hstack``'s arrays and dtypes at a fraction of its cost.
     """
-    rows = matrix.shape[0]
+    matrix = sp.csr_matrix(matrix)
+    rows, cols = matrix.shape
+    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
     if values is None:
-        column = sp.csr_matrix((rows, 1))
-    else:
-        values = np.asarray(values, dtype=float)
-        column = sp.csr_matrix(
-            (values, (np.arange(rows), np.zeros(rows, dtype=int))),
-            shape=(rows, 1),
+        return sp.csr_matrix(
+            (data.copy(), indices.copy(), indptr.copy()), shape=(rows, cols + 1)
         )
-    return sp.hstack([matrix, column], format="csr")
+    out_ptr = indptr + np.arange(rows + 1, dtype=indptr.dtype)
+    last = out_ptr[1:] - 1
+    old = np.ones(out_ptr[-1], dtype=bool)
+    old[last] = False
+    out_indices = np.empty(out_ptr[-1], dtype=indices.dtype)
+    out_indices[old] = indices
+    out_indices[last] = cols
+    out_data = np.empty(out_ptr[-1], dtype=float)
+    out_data[old] = data
+    out_data[last] = np.asarray(values, dtype=float)
+    return sp.csr_matrix((out_data, out_indices, out_ptr), shape=(rows, cols + 1))
 
 
 def capacity_floor_blocks(

@@ -15,11 +15,14 @@ hint protocol.  The HiGHS backend drives SciPy's bundled HiGHS directly,
 and that binding could take a basis (``setBasis``/``getBasis``), but a
 basis-started solve of a degenerate LP can stop at a different optimal
 vertex than a cold one, which would change every schedule downstream.
-The reference simplex is a from-scratch two-phase tableau.  The reuse
-the model engine does perform (returning a memoized solution verbatim
-when the probe's LP is bit-identical to an already-solved one) lives
-one layer up, in :meth:`repro.engine.ModelEngine.cached_solve`,
-precisely because it is backend-independent.
+It reuses one HiGHS instance per thread, cleared before each load, so
+each solve still starts cold from presolve and the answer is the one a
+fresh instance gives.  The reference simplex is a from-scratch
+two-phase tableau.  The reuse the model engine does perform
+(returning a memoized solution verbatim when the probe's LP is
+bit-identical to an already-solved one) lives one layer up, in
+:meth:`repro.engine.ModelEngine.cached_solve`, precisely because it is
+backend-independent.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from collections.abc import Hashable, Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from ..lp.model import ProblemStructure, job_capacity_fragment
+from ..lp.model import ProblemStructure, column_layout, job_capacity_fragment
 from ..network.graph import Network
 from ..network.paths import Path
 from ..obs import current
@@ -346,15 +346,8 @@ def patch_structure(
     # Donor-guided rebuild: same column arithmetic as the cold builder,
     # with path validation skipped (donor-vouched above) and capacity
     # segments pulled from the donor or the fragment cache.
-    out.col_job = np.repeat(np.arange(n), cols_per_job)
-    out.col_slice = np.concatenate(
-        [
-            np.tile(np.arange(first[i], first[i] + span[i]), out.num_paths[i])
-            for i in range(n)
-        ]
-    )
-    out.col_path = np.concatenate(
-        [np.repeat(np.arange(out.num_paths[i]), span[i]) for i in range(n)]
+    out.col_job, out.col_slice, out.col_path = column_layout(
+        first, span, cols_per_job, out.job_offset
     )
     out.col_len = grid.lengths[out.col_slice]
 

@@ -45,7 +45,7 @@ from ..network.paths import Path, build_path_sets
 from ..timegrid import TimeGrid
 from ..workload.jobs import JobSet
 
-__all__ = ["ProblemStructure", "job_capacity_fragment"]
+__all__ = ["ProblemStructure", "column_layout", "job_capacity_fragment"]
 
 Node = Hashable
 
@@ -65,21 +65,39 @@ def job_capacity_fragment(
     that happen to share ``(paths, span)``.
     """
     rel = np.arange(span, dtype=np.int64)
-    edge_parts: list[np.ndarray] = []
-    slice_parts: list[np.ndarray] = []
-    col_parts: list[np.ndarray] = []
-    for p, path in enumerate(paths):
-        edges = np.asarray(path.edge_ids, dtype=np.int64)
-        # Each edge of the path is loaded on every allowed slice.
-        edge_parts.append(np.repeat(edges, span))
-        slice_parts.append(np.tile(rel, len(edges)))
-        col_parts.append(np.tile(p * span + rel, len(edges)))
-    edge = np.concatenate(edge_parts)
-    rel_slice = np.concatenate(slice_parts)
-    rel_col = np.concatenate(col_parts)
+    # Each edge of each path is loaded on every allowed slice; path p's
+    # columns are p * span + rel.
+    edge_ids = [path.edge_ids for path in paths]
+    edges = np.fromiter(
+        (e for ids in edge_ids for e in ids), dtype=np.int64
+    )
+    path_of_edge = np.repeat(
+        np.arange(len(paths), dtype=np.int64), [len(ids) for ids in edge_ids]
+    )
+    edge = np.repeat(edges, span)
+    rel_slice = np.tile(rel, len(edges))
+    rel_col = np.repeat(path_of_edge * span, span) + rel_slice
     for arr in (edge, rel_slice, rel_col):
         arr.setflags(write=False)
     return edge, rel_slice, rel_col
+
+
+def column_layout(
+    first_slice: np.ndarray,
+    span: np.ndarray,
+    cols_per_job: np.ndarray,
+    job_offset: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(col_job, col_slice, col_path)`` of the job-major column space.
+
+    Job ``i`` owns columns ``job_offset[i]:job_offset[i + 1]``: its
+    paths in order, each over the ``span[i]`` slices from
+    ``first_slice[i]``.  All three are ``int64``.
+    """
+    col_job = np.repeat(np.arange(len(span), dtype=np.int64), cols_per_job)
+    within = np.arange(job_offset[-1], dtype=np.int64) - job_offset[col_job]
+    col_span = span[col_job]
+    return col_job, first_slice[col_job] + within % col_span, within // col_span
 
 
 class ProblemStructure:
@@ -222,21 +240,8 @@ class ProblemStructure:
         np.cumsum(cols_per_job, out=self.job_offset[1:])
         self.num_cols = int(self.job_offset[-1])
 
-        self.col_job = np.repeat(np.arange(len(jobs)), cols_per_job)
-        self.col_slice = np.concatenate(
-            [
-                np.tile(
-                    np.arange(self.first_slice[i], self.first_slice[i] + self.span[i]),
-                    self.num_paths[i],
-                )
-                for i in range(len(jobs))
-            ]
-        )
-        self.col_path = np.concatenate(
-            [
-                np.repeat(np.arange(self.num_paths[i]), self.span[i])
-                for i in range(len(jobs))
-            ]
+        self.col_job, self.col_slice, self.col_path = column_layout(
+            self.first_slice, self.span, cols_per_job, self.job_offset
         )
         self.col_len = grid.lengths[self.col_slice]
         for arr in (

@@ -12,6 +12,14 @@ its post-solve feasibility check, its dual signs and its iteration
 count.  Everything downstream talks to these wrappers, so swapping the
 backend means editing this module only.
 
+Reused instances
+----------------
+
+Each thread loads its LPs into one HiGHS instance of its own, cleared
+before every load, so no basis carries over and each solve still starts
+cold from presolve: every answer is the one a fresh instance gives,
+without paying for a new instance per solve.
+
 Resilient solve chain
 ---------------------
 
@@ -53,6 +61,7 @@ in :class:`~repro.core.scheduler.Scheduler`.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 
@@ -574,6 +583,20 @@ class HighsRun:
     iterations: int = 0
 
 
+#: Per-thread solver state: ``highs``, the thread's HiGHS instance.
+_local = threading.local()
+
+
+def _thread_highs():
+    """This thread's HiGHS instance, made on first use."""
+    highs = getattr(_local, "highs", None)
+    if highs is None:
+        highs = _highs._Highs()
+        highs.setOptionValue("output_flag", False)
+        _local.highs = highs
+    return highs
+
+
 def run_highs(
     cost: np.ndarray,
     col_lower: np.ndarray,
@@ -587,16 +610,21 @@ def run_highs(
     ``row_lower <= A @ x <= row_upper`` and ``col_lower <= x <= col_upper``.
 
     ``rows`` is ``A`` as canonical CSR ``(indptr, indices, data)``
-    arrays.  Each call uses a fresh HiGHS instance, so no basis carries
-    over between solves.  HiGHS's defaults (dual simplex, presolve on,
-    no debug checks) are linprog's settings, so only logging is turned
-    off and the optional ``time_limit`` set.  This is the module's only
-    call into HiGHS.
+    arrays.  Each thread loads every LP into one HiGHS instance of its
+    own, clearing the previous model first, so no basis carries over
+    between solves and each answer equals a fresh instance's.  HiGHS's
+    defaults (dual simplex, presolve on, no debug checks) are linprog's
+    settings, so only logging is turned off and the time limit set:
+    ``time_limit`` seconds for this run, none when ``None``.  Only this
+    function and :func:`_thread_highs` call into HiGHS.
     """
-    highs = _highs._Highs()
-    highs.setOptionValue("output_flag", False)
-    if time_limit is not None:
-        highs.setOptionValue("time_limit", float(time_limit))
+    highs = _thread_highs()
+    highs.clearModel()
+    # HiGHS's run clock keeps counting across run() calls on one
+    # instance (neither clear() nor clearModel() resets it), so the
+    # option is a reading of that clock, not a duration.
+    limit = np.inf if time_limit is None else float(time_limit)
+    highs.setOptionValue("time_limit", highs.getRunTime() + limit)
     indptr, indices, data = rows
     num_col = cost.shape[0]
     loaded = highs.passModel(

@@ -39,7 +39,12 @@ Robustness layers, in tick order:
   reservations whose committed paths they break — visibly, into
   renegotiation: the voided residual re-enters the next batch under a
   derived id (``<id>~v<n>``) and is re-admitted, counter-offered a
-  later window, or explicitly rejected.  Nothing is lost silently.
+  later window, or explicitly rejected.  The exception is a voided
+  reservation whose window can no longer hold a slice: like expiry,
+  voiding is then terminal.  It keeps its undelivered residual, counts
+  as ``voided`` in the stats, and its journaled ``voided`` transition
+  is its only record; no request re-enters the batch and no
+  ``Rejected`` is issued.
 
 Time is *virtual*: tick ``e`` decides at ``now = e * tau``.  Decision
 outcomes depend only on request arrival order and epochs — never on
@@ -454,7 +459,11 @@ class ReservationService:
         transitions: list[dict],
         why: str,
     ) -> None:
-        """Void a commitment into renegotiation — never silent loss."""
+        """Void a commitment into renegotiation.
+
+        A reservation whose window can no longer hold one slice is only
+        marked ``voided``: the residual stays on it, as on expiry.
+        """
         res.status = "voided"
         transitions.append({"id": res.job.id, "status": "voided",
                             "reason": why})

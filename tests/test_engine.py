@@ -4,6 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.engine.backend as backend_mod
 from repro.core.ret import build_subret_lp, solve_ret
@@ -15,6 +18,7 @@ from repro.engine import (
     LayoutLayer,
     ModelEngine,
     TopologyLayer,
+    append_column,
     available_backends,
     build_structure,
     capacity_floor_blocks,
@@ -411,6 +415,40 @@ class TestAssemblyHelpers:
         assert a2 is a1
         assert np.array_equal(b2[-len(jobs):], -0.5 * structure.demands)
         assert not np.array_equal(b1, b2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 25),
+        cols=st.integers(1, 30),
+        density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        seed=st.integers(0, 10_000),
+        column=st.sampled_from([None, "values", "with_zeros"]),
+    )
+    def test_append_column_matches_hstack(self, rows, cols, density, seed,
+                                          column):
+        """The direct CSR build gives sp.hstack's arrays and dtypes."""
+        rng = np.random.default_rng(seed)
+        matrix = sp.random(rows, cols, density=density, format="csr",
+                           random_state=seed)
+        values = None
+        if column is not None:
+            values = -rng.uniform(0.5, 3.0, rows)
+            if column == "with_zeros":
+                values[rng.random(rows) < 0.5] = 0.0
+        if values is None:
+            extra = sp.csr_matrix((rows, 1))
+        else:
+            extra = sp.csr_matrix(
+                (values, (np.arange(rows), np.zeros(rows, dtype=int))),
+                shape=(rows, 1),
+            )
+        expected = sp.hstack([matrix, extra], format="csr")
+        got = append_column(matrix, values)
+        assert got.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
 
 
 class TestFrontEndWiring:

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Job, JobSet, Network, ProblemStructure, TimeGrid, ValidationError
+from repro.lp.model import column_layout, job_capacity_fragment
+from repro.network.paths import Path
 from repro.network import topologies
 
 
@@ -84,6 +88,65 @@ class TestColumnLayout:
         s = ProblemStructure(line3, jobs, grid4)
         assert s.allowed_slices(0) == range(2, 4)
         assert s.col_slice.tolist() == [2, 3]
+
+
+#: Per-job (first slice, span, paths) triples; each path is its edge ids.
+_jobs = st.lists(
+    st.tuples(
+        st.integers(0, 30),
+        st.integers(1, 8),
+        st.lists(st.lists(st.integers(0, 40), min_size=1, max_size=5),
+                 min_size=1, max_size=4),
+    ),
+    min_size=1, max_size=10,
+)
+
+
+class TestVectorizedLayoutMatchesPerJobLoop:
+    """The whole-array builds equal the per-job loops they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(jobs=_jobs)
+    def test_column_layout(self, jobs):
+        first = np.array([f for f, _, _ in jobs], dtype=np.int64)
+        span = np.array([s for _, s, _ in jobs], dtype=np.int64)
+        num_paths = np.array([len(p) for _, _, p in jobs], dtype=np.int64)
+        cols_per_job = num_paths * span
+        offset = np.zeros(len(jobs) + 1, dtype=np.int64)
+        np.cumsum(cols_per_job, out=offset[1:])
+        expected = (
+            np.repeat(np.arange(len(jobs)), cols_per_job),
+            np.concatenate([
+                np.tile(np.arange(first[i], first[i] + span[i]), num_paths[i])
+                for i in range(len(jobs))
+            ]),
+            np.concatenate([
+                np.repeat(np.arange(num_paths[i]), span[i])
+                for i in range(len(jobs))
+            ]),
+        )
+        got = column_layout(first, span, cols_per_job, offset)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(jobs=_jobs)
+    def test_capacity_fragment(self, jobs):
+        for _, span, edge_lists in jobs:
+            paths = [Path(tuple(range(len(e) + 1)), tuple(e), float(len(e)))
+                     for e in edge_lists]
+            rel = np.arange(span, dtype=np.int64)
+            expected = [np.concatenate(parts) for parts in zip(*[
+                (np.repeat(np.asarray(e, dtype=np.int64), span),
+                 np.tile(rel, len(e)),
+                 np.tile(p * span + rel, len(e)))
+                for p, e in enumerate(edge_lists)
+            ])]
+            got = job_capacity_fragment(paths, span)
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
 
 
 class TestCapacityBlock:

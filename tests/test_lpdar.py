@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     Job,
@@ -187,3 +189,116 @@ class TestLpdarPipeline:
         x[0] = 1.3
         result = lpdar(line3_structure, x)
         assert result.x_lp[0] == pytest.approx(1.3)
+
+
+# ----------------------------------------------------------------------
+# The Python-int walk equals the NumPy walk it replaced
+# ----------------------------------------------------------------------
+def _numpy_greedy_adjust(structure, x_int, order, targets, cap_at_target,
+                         rng):
+    """Algorithm 1 as a NumPy walk: the oracle for ``greedy_adjust``.
+
+    A fancy-indexed residual min per (slice, job, path) triple; returns
+    the assignment and the visited-triple and grant counts.
+    """
+    x = np.asarray(x_int, dtype=float).copy()
+    residual = structure.residual_capacity(x)
+    residual = np.rint(np.maximum(residual, 0.0)).astype(np.int64)
+    num_jobs = len(structure.jobs)
+    targets = structure.demands if targets is None else targets
+    deficits = targets - structure.delivered(x)
+    first, span = structure.first_slice, structure.span
+    offsets, lengths = structure.job_offset, structure.grid.lengths
+    path_edges = [
+        [np.asarray(p.edge_ids, dtype=np.int64) for p in structure.paths[i]]
+        for i in range(num_jobs)
+    ]
+    visited = grants = 0
+    for j in range(structure.grid.num_slices):
+        active = np.nonzero((first <= j) & (j < first + span))[0]
+        if active.size == 0:
+            continue
+        if order == "deficit_first":
+            active = active[np.argsort(-deficits[active], kind="stable")]
+        elif order == "random":
+            active = rng.permutation(active)
+        len_j = float(lengths[j])
+        for i in active:
+            if cap_at_target and deficits[i] <= 1e-12:
+                continue
+            base = int(offsets[i]) + (j - int(first[i]))
+            sp_i = int(span[i])
+            for p, edges in enumerate(path_edges[i]):
+                visited += 1
+                grant = int(residual[edges, j].min())
+                if grant <= 0:
+                    continue
+                if cap_at_target:
+                    needed = int(np.ceil(deficits[i] / len_j - 1e-12))
+                    grant = min(grant, needed)
+                    if grant <= 0:
+                        continue
+                x[base + p * sp_i] += grant
+                residual[edges, j] -= grant
+                deficits[i] -= grant * len_j
+                grants += 1
+    return x, visited, grants
+
+
+def _random_instance(seed):
+    """A random structure, a feasible integer start and greedy targets."""
+    from repro import TimeGrid, topologies
+
+    rng = np.random.default_rng(seed)
+    nodes = int(rng.integers(4, 8))
+    net = topologies.ring(nodes, capacity=int(rng.integers(1, 5)))
+    num_slices = int(rng.integers(1, 7))
+    length = float(rng.choice([0.5, 1.0, 2.0]))
+    grid = TimeGrid.uniform(num_slices, length)
+    jobs = []
+    for i in range(int(rng.integers(1, 7))):
+        src, dst = rng.choice(nodes, size=2, replace=False)
+        first = int(rng.integers(0, num_slices))
+        last = int(rng.integers(first + 1, num_slices + 1))
+        jobs.append(Job(id=i, source=int(src), dest=int(dst),
+                        size=float(rng.uniform(0.3, 10.0)),
+                        start=first * length, end=last * length))
+    structure = ProblemStructure(net, JobSet(jobs), grid,
+                                 k_paths=int(rng.integers(1, 4)))
+    x = np.zeros(structure.num_cols)
+    for c in rng.permutation(structure.num_cols):
+        if rng.random() < 0.4:
+            x[c] += 1.0
+            if structure.residual_capacity(x).min() < 0:
+                x[c] -= 1.0
+    targets = None
+    if rng.random() < 0.5:
+        targets = rng.uniform(0.0, 1.5, len(jobs)) * structure.demands
+    return structure, x, targets
+
+
+class TestPythonWalkMatchesNumpyWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=100_000),
+        order=st.sampled_from(["paper", "deficit_first", "random"]),
+        cap_at_target=st.booleans(),
+    )
+    def test_same_x_and_counts(self, seed, order, cap_at_target):
+        from repro.obs import Telemetry
+
+        structure, x_int, targets = _random_instance(seed)
+        expected, visited, grants = _numpy_greedy_adjust(
+            structure, x_int, order, targets, cap_at_target,
+            np.random.default_rng(seed),
+        )
+        with Telemetry() as telemetry:
+            x = greedy_adjust(
+                structure, x_int, order=order, targets=targets,
+                cap_at_target=cap_at_target,
+                rng=np.random.default_rng(seed),
+            )
+        (record,) = telemetry.records_of("greedy_adjust")
+        assert np.array_equal(x, expected)
+        assert record["visited_triples"] == visited
+        assert record["grants"] == grants

@@ -219,3 +219,82 @@ class TestJobWeightPassthrough:
         """Without explicit weights behaviour is unchanged (size weights)."""
         result = Scheduler(line3).schedule(line3_jobs)
         assert result.normalized_throughput("lpdar") == pytest.approx(1.0)
+
+
+def _served(seed, journal, memo_for_stage1, monkeypatch):
+    """Journal lines and solve counters of one service run.
+
+    With ``memo_for_stage1=False`` every engine solve inside a scheduling
+    pass bypasses the memo, as the pass's stage 1 did before it went
+    through :meth:`~repro.engine.ModelEngine.cached_solve`.
+    """
+    import asyncio
+    from pathlib import Path
+
+    from repro.engine.engine import ModelEngine
+    from repro.obs import Telemetry
+    from repro.service import ClosedLoopDriver, ReservationService
+    from repro.verify.fuzz import make_scenario
+
+    inside = []
+    cached_solve, schedule = ModelEngine.cached_solve, Scheduler._schedule
+
+    def bypassing(self, *args, **kwargs):
+        if inside:
+            kwargs["cache"] = False
+        return cached_solve(self, *args, **kwargs)
+
+    def in_pass(self, *args, **kwargs):
+        inside.append(True)
+        try:
+            return schedule(self, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    with monkeypatch.context() as patch:
+        if not memo_for_stage1:
+            patch.setattr(ModelEngine, "cached_solve", bypassing)
+            patch.setattr(Scheduler, "_schedule", in_pass)
+        scenario = make_scenario(seed)
+        service = ReservationService(
+            scenario.network, journal=str(journal),
+            fault_schedule=scenario.fault_schedule,
+            queue_limit=4096, rate=4096.0,
+        )
+        with Telemetry() as telemetry:
+            asyncio.run(ClosedLoopDriver(service, scenario.jobs,
+                                         max_epochs=400).run())
+        service.close()
+
+    counters = telemetry.counters
+    return (
+        Path(journal).read_bytes(),
+        counters["lp_solves"],
+        counters.get("memo_hits", 0),
+    )
+
+
+class TestStage1ThroughEngineMemo:
+    @pytest.mark.parametrize("seed", [3, 6])
+    def test_service_replays_admission_probes(self, seed, tmp_path,
+                                              monkeypatch):
+        before = _served(seed, tmp_path / "a.jsonl", False, monkeypatch)
+        after = _served(seed, tmp_path / "b.jsonl", True, monkeypatch)
+        saved = before[1] - after[1]
+        assert saved > 0
+        assert after[2] - before[2] == saved
+        assert after[0] == before[0]
+
+    def test_cold_engine_still_solves_stage1(self, line3, line3_jobs):
+        from repro.engine import ModelEngine
+        from repro.obs import Telemetry
+
+        engine = ModelEngine(line3, 4, warm_start=False)
+        scheduler = Scheduler(line3, engine=engine)
+        with Telemetry() as telemetry:
+            scheduler.schedule(line3_jobs)
+            scheduler.schedule(line3_jobs)
+        assert "memo_hits" not in telemetry.counters
+        stage1 = [r for r in telemetry.records_of("lp_solve")
+                  if r["label"] == "stage1"]
+        assert len(stage1) == 2

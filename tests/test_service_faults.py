@@ -83,6 +83,31 @@ class TestMidEpochLoss:
         assert service.book.decided("r~v1") is not None
 
 
+class TestVoidAfterWindowCloses:
+    """Seattle's links fail in the last slice of a two-slice window."""
+
+    def test_voiding_is_terminal_and_keeps_the_residual(self):
+        net = abilene(capacity=1, wavelength_rate=20.0)
+        seattle = net.edge(0).source
+        neighbours = sorted({e.target for e in net.edges if e.source == seattle})
+        fs = FaultSchedule(net, [LinkDown(1.5, seattle, n) for n in neighbours])
+        service = ReservationService(net, tau=2.0, fault_schedule=fs)
+        service.submit(_request("r", seattle, net.edge(0).target, 100.0,
+                                start=0.0, end=2.0))
+        _run_ticks(service, 4)
+
+        res = service.book.reservations["r"]
+        assert res.status == "voided"
+        assert res.remaining > 0  # the residual stays on the reservation
+        # The window is gone, so nothing re-enters admission.
+        assert service._internal == []
+        assert not any("~v" in key for key in service.book.reservations)
+        assert service.book.decided("r~v1") is None
+        assert service.stats.counters["voided"] == 1
+        assert service.stats.counters["renegotiations"] == 0
+        assert service.stats.counters["rejected"] == 0
+
+
 class TestDegradedLinkPlanning:
     """A link degraded to one wavelength is planned at one wavelength."""
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import TimeGrid, ValidationError
 
@@ -147,6 +149,67 @@ class TestWindowSlices:
         grid = TimeGrid.uniform(10, slice_length=0.1)
         window = grid.window_slices(0.3, 0.7)
         assert window == range(3, 7)
+
+    @pytest.mark.parametrize("start, end", [(float("nan"), 2.0),
+                                            (1.0, float("nan"))])
+    def test_nan_window_raises(self, start, end):
+        with pytest.raises(ValidationError):
+            TimeGrid.uniform(4).window_slices(start, end)
+
+
+def _numpy_window_slices(grid, start, end):
+    """The NumPy ``window_slices`` the bisect version replaced (oracle)."""
+    bounds = grid.boundaries
+    lo = float(np.clip(start, grid.start, grid.end))
+    hi = float(np.clip(end, grid.start, grid.end))
+    first = int(np.searchsorted(bounds, lo - 1e-12, side="left"))
+    last = int(np.searchsorted(bounds, hi + 1e-12, side="right") - 1) - 1
+    return range(first, first) if last < first else range(first, last + 1)
+
+
+class TestWindowSlicesMatchNumpy:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lengths=st.lists(
+            st.sampled_from([0.1, 0.25, 0.5, 1.0, 1.5, 2.0]),
+            min_size=1, max_size=12,
+        ),
+        origin=st.sampled_from([0.0, 0.3, 5.0, -2.0]),
+        picks=st.lists(st.floats(-0.2, 1.2), min_size=2, max_size=2),
+        noise=st.sampled_from([0.0, 1e-13, -1e-13, 5e-13, -5e-13, 1e-12,
+                               -1e-12, 5e-12, -5e-12]),
+        on_boundary=st.booleans(),
+    )
+    def test_same_range(self, lengths, origin, picks, noise, on_boundary):
+        grid = TimeGrid(origin + np.concatenate(([0.0], np.cumsum(lengths))))
+        if on_boundary:  # boundaries (plus float noise) are the hard case
+            count = grid.num_slices + 1
+            picks = [grid.boundaries[int(p * count) % count] for p in picks]
+        else:
+            picks = [grid.start + p * grid.horizon for p in picks]
+        start, end = sorted(float(p) + noise for p in picks)
+        assert grid.window_slices(start, end) == _numpy_window_slices(
+            grid, start, end)
+
+    @pytest.mark.parametrize("grid", [
+        TimeGrid.uniform(10, slice_length=0.1),
+        TimeGrid.uniform(6, slice_length=1.0, start=3.0),
+        TimeGrid([0.0, 0.25, 1.0, 1.5, 4.0]),
+    ])
+    def test_same_range_at_every_boundary_tie(self, grid):
+        """Windows a tolerance away from each boundary, where the search
+        side decides whether a slice is in."""
+        times = sorted({
+            float(t)
+            for b in grid.boundaries
+            for t in (b, b - 1e-12, b + 1e-12,
+                      np.nextafter(b - 1e-12, -np.inf),
+                      np.nextafter(b + 1e-12, np.inf))
+        })
+        for i, start in enumerate(times):
+            for end in times[i:]:
+                assert grid.window_slices(start, end) == (
+                    _numpy_window_slices(grid, start, end))
 
 
 class TestDerivedGrids:
