@@ -1,26 +1,27 @@
 """The shared epoch-control kernel: one observe→decide→commit contract.
 
-The paper's controller is a single periodic loop — wake up every
-``tau``, observe the world, decide this epoch's knobs, solve, commit —
-yet the repo grew two independent copies of that loop:
+The paper's controller is a single periodic loop: wake up every
+``tau``, observe the world, decide this epoch's knobs, plan, execute,
+commit.  Two drivers run that loop —
 :class:`repro.sim.simulator.Simulation` (the batch simulator) and
 :class:`repro.service.core.ReservationService` (the online admission
-front-end).  Each carried its own fault detection, stale-window expiry,
-crash points, journaling and used-edge bookkeeping.  This module is the
-extraction: :class:`EpochKernel` owns the epoch-step contract and the
-shared state it advances (virtual time, epoch counter, fault cursor),
-and both drivers — plus the chaos runner's sim/serve targets — ride it.
-
-The contract, per epoch:
+front-end), plus the chaos runner's sim/serve targets — and
+:class:`EpochKernel` is the one copy of it they share.  It owns the
+epoch state (virtual time, epoch counter, fault cursor) and, per epoch:
 
 * :meth:`EpochKernel.observe` assembles an :class:`EpochObservation`
-  from kernel state (time, epoch, fault cursor) and driver state
-  (backlog, residual volume, queue depth, solve budget);
+  from kernel state and driver state (backlog, residual volume, queue
+  depth, solve budget);
 * :meth:`EpochKernel.decide` asks the attached
   :class:`~repro.control.policies.ControlPolicy` for an
   :class:`EpochAction` — the per-epoch knobs (fairness ``alpha`` start
   and escalation cap, path-set size ``k_paths``, admission policy,
-  solve-budget split) that the driver applies to its scheduling pass;
+  solve-budget split);
+* :meth:`EpochKernel.plan` schedules the driver's residual jobs on the
+  epoch's grid, routes and capacity snapshot, and
+  :meth:`EpochKernel.deliver` returns what the plan's first epoch
+  carried per job, with volume lost to mid-epoch faults voided; each
+  driver folds that into its own records;
 * :meth:`EpochKernel.commit` durably records the epoch (journal append
   with the mid-journal torn-write crash point) and
   :meth:`EpochKernel.advance` moves the clock.
@@ -29,24 +30,21 @@ The kernel also holds the run's planner cache: one
 :class:`~repro.engine.ModelEngine` per ``k_paths``
 (:meth:`EpochKernel.engine_for`) and one
 :class:`~repro.core.scheduler.Scheduler` per action's knobs
-(:meth:`EpochKernel.scheduler_for`).  The configured base action is an
-ordinary entry; an adaptive policy's deviations add more.  And it holds
-the fault model both drivers plan and deliver each epoch through.
+(:meth:`EpochKernel.scheduler_for`).
 
-With no policy attached (``policy=None``) the kernel short-circuits:
-``decide`` returns the driver's configured base action without building
-an observation, so the default path pays nothing for the surface.  With
+With no policy attached (``policy=None``) ``decide`` returns the
+driver's configured base action without building an observation, so
+the default path pays nothing for the surface.  With
 :class:`~repro.control.policies.FixedPolicy` the full contract runs and
-the outputs are byte-identical — property-tested against pre-refactor
-golden journals in ``tests/test_control_equivalence.py``.
+the outputs are byte-identical — property-tested against golden
+journals in ``tests/test_control_equivalence.py``.
 
-The module-level helpers (:func:`window_closed`, :func:`used_edges`,
-:func:`advance_fault_cursor`) are the de-duplicated bodies of the
-methods the two drivers used to copy from each other.  Each driver
-names the constructor arguments its journal header records in one
-tuple; :func:`encode_run_config` writes them (with the solve budget,
-resilience and fault timeline) and :func:`decode_run_config` reads them
-back for ``resume``.
+Expiry stays in each driver: the two walk different records, and only
+the simulator sweeps at the horizon; :func:`window_closed` is their one
+shared predicate.  Each driver names the constructor arguments its
+journal header records in one tuple; :func:`encode_run_config` writes
+them (with the solve budget, resilience and fault timeline) and
+:func:`decode_run_config` reads them back for ``resume``.
 """
 
 from __future__ import annotations
@@ -56,6 +54,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
+from ..core.metrics import per_slice_delivery
 from ..core.scheduler import Scheduler
 from ..engine.engine import ModelEngine
 from ..errors import ValidationError
@@ -71,6 +70,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
 
 __all__ = [
     "EpochAction",
+    "EpochDelivery",
     "EpochObservation",
     "EpochOutcome",
     "EpochKernel",
@@ -241,6 +241,30 @@ class EpochOutcome:
 
 
 @dataclass(frozen=True)
+class EpochDelivery:
+    """What one epoch's executed slices carried (:meth:`EpochKernel.deliver`).
+
+    Per-job lists follow the plan's ``structure.jobs``, volumes in job
+    units; each driver folds them in at its own volume tolerance.
+    """
+
+    #: The grid slices starting before ``now + tau``.
+    executed: list[int]
+    #: The realized allocation: the plan's own ``x`` unless a mid-epoch
+    #: fault voided part of it (``voided``).
+    x: np.ndarray
+    voided: bool
+    #: Each job's realized and planned volume over ``executed``.
+    volume: list[float]
+    planned: list[float]
+    #: Each job's last executed slice that carried volume, if any.
+    last_slice: list[int | None]
+    #: Worst-case capacity per executed slice under the fault timeline
+    #: (``None`` without one).
+    capacity: list[np.ndarray] | None
+
+
+@dataclass(frozen=True)
 class FaultDetection:
     """One epoch boundary's worth of newly struck fault events.
 
@@ -387,10 +411,9 @@ class EpochKernel:
     One instance per run.  The kernel owns the loop-invariant epoch
     state (virtual time ``now``, ``epoch`` counter, ``fault_idx``
     cursor), the per-epoch contract (``observe`` / ``decide`` /
-    ``commit`` / ``advance``) and the cross-cutting hooks the drivers
-    used to duplicate: crash points, solve-budget restarts, fault
-    detection with carried-plan invalidation, journal commits, and the
-    per-action planner cache (:meth:`engine_for`, :meth:`scheduler_for`).
+    ``plan`` / ``deliver`` / ``commit`` / ``advance``), crash points,
+    solve-budget restarts, fault detection with carried-plan
+    invalidation, and the per-action planner cache.
 
     Each epoch plans on what the controller can see at ``now`` and
     delivers what the network really carried.  :meth:`grid_for` is the
@@ -441,6 +464,23 @@ class EpochKernel:
     _cache_totals: dict = field(default_factory=dict, repr=False)
     _engines: dict = field(default_factory=dict, repr=False)
     _schedulers: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def for_driver(cls, driver, base_action: EpochAction) -> "EpochKernel":
+        """A fresh kernel over a driver's configuration attributes."""
+        return cls(
+            tau=driver.tau,
+            slice_length=driver.slice_length,
+            base_action=base_action,
+            policy=driver.control_policy,
+            fault_schedule=driver.fault_schedule,
+            crash_injector=driver.crash_injector,
+            solve_budget=driver.solve_budget,
+            network=driver.network,
+            warm_start=driver.warm_start,
+            resilience=driver.resilience,
+            verify_solutions=driver.verify_solutions,
+        )
 
     # -- planner cache --------------------------------------------------
     def engine_for(self, k_paths: int) -> ModelEngine:
@@ -509,17 +549,17 @@ class EpochKernel:
         return budget
 
     # -- faults ---------------------------------------------------------
-    def detect_faults(self, now: float | None = None) -> FaultDetection:
-        """Advance the fault cursor; invalidate carried plans on strikes.
+    def detect_faults(self) -> FaultDetection:
+        """Advance the fault cursor to ``now``; invalidate carried plans
+        on strikes.
 
         Returns the newly seen events and the affected (lost-capacity)
         edges.  Without a fault schedule this is a constant-time no-op.
         """
         if self.fault_schedule is None:
             return FaultDetection((), frozenset())
-        t = self.now if now is None else now
         self.fault_idx, detection = advance_fault_cursor(
-            self.fault_schedule, self.fault_idx, t
+            self.fault_schedule, self.fault_idx, self.now
         )
         if detection.affected:
             # Carried plans routed before the fault are poor witnesses
@@ -571,9 +611,28 @@ class EpochKernel:
             self.network, grid, np.minimum(profile.matrix, snap.matrix)
         )
 
-    def realize(self, structure, x) -> tuple[list[int], np.ndarray]:
-        """The executed slices (starting before ``now + tau``) and ``x``
-        scaled to what the true fault timeline let through.
+    def plan(self, jobs, action: EpochAction, *, path_sets, budget,
+             maintenance=None):
+        """Schedule ``jobs`` for this epoch under ``action``'s knobs.
+
+        Plans on :meth:`grid_for`'s grid against
+        :meth:`planning_profile` (``maintenance`` ∧ the fault snapshot)
+        over ``path_sets`` (the driver's :meth:`routes`), within
+        ``budget``.
+        """
+        grid = self.grid_for(jobs)
+        return self.scheduler_for(action).schedule(
+            jobs,
+            grid,
+            capacity_profile=self.planning_profile(grid, maintenance),
+            path_sets=path_sets,
+            budget=budget,
+        )
+
+    def realize(self, structure, x) -> tuple[list[int], np.ndarray, list | None]:
+        """The executed slices (starting before ``now + tau``), ``x``
+        scaled to what the true fault timeline let through, and each
+        executed slice's worst-case capacities (``None`` without faults).
 
         Per executed slice, an edge whose planned load exceeds its
         worst-case capacity (``min_capacity_over`` the slice) scales the
@@ -589,13 +648,15 @@ class EpochKernel:
             if grid.slice_start(j) < self.now + self.tau - _EPS
         ]
         if self.fault_schedule is None:
-            return executed, x
+            return executed, x, None
         x_eff = x.copy()
         paths = structure.paths
+        capacity = []
         for j in executed:
             caps = self.fault_schedule.min_capacity_over(
                 grid.slice_start(j), grid.slice_end(j)
             )
+            capacity.append(caps)
             cols = np.flatnonzero((structure.col_slice == j) & (x > _GRANT_TOL))
             edges = [
                 list(paths[structure.col_job[c]][structure.col_path[c]].edge_ids)
@@ -609,7 +670,40 @@ class EpochKernel:
             factor[over] = caps[over] / load[over]
             for c, ids in zip(cols, edges):
                 x_eff[c] = x[c] * min(1.0, factor[ids].min())
-        return executed, (x if np.array_equal(x_eff, x) else x_eff)
+        return executed, (x if np.array_equal(x_eff, x) else x_eff), capacity
+
+    def deliver(self, result) -> EpochDelivery:
+        """What the plan ``result`` carried this epoch, per job.
+
+        Runs :meth:`realize` and turns the executed slices' grants into
+        job volumes (``per_slice_delivery`` × ``wavelength_rate``), both
+        as realized and as planned.
+        """
+        structure = result.structure
+        x = np.asarray(result.x, dtype=float)
+        executed, x_eff, capacity = self.realize(structure, x)
+        rate = self.network.wavelength_rate
+        carried = per_slice_delivery(structure, x_eff)[:, executed]
+        volume = [float(row.sum()) * rate for row in carried]
+        planned = volume
+        if x_eff is not x:
+            planned = [
+                float(row.sum()) * rate
+                for row in per_slice_delivery(structure, x)[:, executed]
+            ]
+        last_slice = []
+        for row in carried:
+            nonzero = np.flatnonzero(row > 0)
+            last_slice.append(executed[nonzero[-1]] if nonzero.size else None)
+        return EpochDelivery(
+            executed=executed,
+            x=x_eff,
+            voided=x_eff is not x,
+            volume=volume,
+            planned=planned,
+            last_slice=last_slice,
+            capacity=capacity,
+        )
 
     # -- observe / decide / feedback ------------------------------------
     @property
@@ -732,16 +826,13 @@ def base_action_for(
 ) -> EpochAction:
     """The :class:`EpochAction` mirroring a driver's configured knobs.
 
-    ``alpha_step`` / ``alpha_max`` mirror the
+    The action's ``alpha_step`` / ``alpha_max`` defaults mirror the
     :class:`~repro.core.scheduler.Scheduler` constructor defaults the
     drivers rely on.
     """
     return EpochAction(
         alpha=alpha,
-        alpha_step=0.1,
-        alpha_max=0.5,
         k_paths=k_paths,
         admission_policy=admission_policy,
         rejection=rejection,
-        budget_scale=1.0,
     )

@@ -70,7 +70,6 @@ from ..control.kernel import (
     window_closed,
 )
 from ..core.admission import admit_max_prefix
-from ..core.metrics import per_slice_delivery
 from ..core.ret import solve_ret
 from ..errors import (
     BudgetExceededError,
@@ -236,21 +235,11 @@ class ReservationService:
         self.control_policy = control_policy
         # The shared epoch-control kernel: owns the epoch counter, the
         # fault cursor, crash points, budget restarts, journal commits
-        # and the planner cache.  The service's ``epoch`` / ``_fault_idx``
-        # attributes are views onto it.
-        self._kernel = EpochKernel(
-            tau=self.tau,
-            slice_length=self.slice_length,
-            # alpha: the Scheduler's default fairness slack.
-            base_action=base_action_for(alpha=0.1, k_paths=self.k_paths),
-            policy=control_policy,
-            fault_schedule=fault_schedule,
-            crash_injector=crash_injector,
-            solve_budget=solve_budget,
-            network=network,
-            warm_start=warm_start,
-            resilience=resilience,
-            verify_solutions=self.verify_solutions,
+        # and the planner cache.  The service's ``epoch`` is a view onto
+        # it.
+        # alpha: the Scheduler's default fairness slack.
+        self._kernel = EpochKernel.for_driver(
+            self, base_action_for(alpha=0.1, k_paths=self.k_paths)
         )
         self.book = CommitmentBook()
         #: Undecided external requests: key -> (request, handle).
@@ -279,15 +268,6 @@ class ReservationService:
     def epoch(self, value: int) -> None:
         self._kernel.epoch = int(value)
         self._kernel.now = int(value) * self.tau
-
-    @property
-    def _fault_idx(self) -> int:
-        """Fault-timeline cursor (owned by the control kernel)."""
-        return self._kernel.fault_idx
-
-    @_fault_idx.setter
-    def _fault_idx(self, value: int) -> None:
-        self._kernel.fault_idx = int(value)
 
     @property
     def now(self) -> float:
@@ -373,10 +353,9 @@ class ReservationService:
                 queue_depth=len(self._pending),
             )
         action = self._kernel.decide(obs)
-        sched_transitions, delivered, completed = self._schedule_and_execute(
-            now, action
+        delivered, completed = self._schedule_and_execute(
+            now, action, transitions
         )
-        transitions.extend(sched_transitions)
         self._kernel.feedback(
             obs, action,
             EpochOutcome(epoch=epoch, delivered=delivered, completed=completed),
@@ -440,7 +419,7 @@ class ReservationService:
         kernel's (shared with the simulator); voiding broken
         commitments into renegotiation is the service's own reaction.
         """
-        detection = self._kernel.detect_faults(now)
+        detection = self._kernel.detect_faults()
         if not detection.affected:
             return
         for key in sorted(self.book.reservations):
@@ -468,8 +447,7 @@ class ReservationService:
         transitions.append({"id": res.job.id, "status": "voided",
                             "reason": why})
         self.stats.count("voided")
-        start = max(res.job.start, now)
-        if res.job.end - start < self.slice_length - _EPS:
+        if window_closed(res.job.start, res.job.end, now, self.slice_length):
             return  # window already gone; expiry semantics, recorded above
         origin = self._origin_of(key)
         self._internal.append({
@@ -478,7 +456,7 @@ class ReservationService:
             "source": res.job.source,
             "dest": res.job.dest,
             "size": res.remaining,
-            "start": start,
+            "start": max(res.job.start, now),
             "end": res.job.end,
             "attempt": 1,
         })
@@ -529,13 +507,13 @@ class ReservationService:
         batch: list[dict] = []
         shed: list[DecisionHandle] = []
         for entry in self._internal:
-            start = max(entry["start"], now)
-            dead = entry["end"] - start < self.slice_length - _EPS
+            dead = window_closed(entry["start"], entry["end"], now,
+                                 self.slice_length)
             batch.append({**entry, "internal": True,
                           "job": None if dead else Job(
                               id=entry["id"], source=entry["source"],
                               dest=entry["dest"], size=entry["size"],
-                              start=start, end=entry["end"],
+                              start=max(entry["start"], now), end=entry["end"],
                           )})
         self._internal = []
 
@@ -568,8 +546,8 @@ class ReservationService:
                 self.stats.count("shed")
                 continue
             self._bucket_tokens -= 1.0
-            dead = request.end - max(request.start, now) \
-                < self.slice_length - _EPS
+            dead = window_closed(request.start, request.end, now,
+                                 self.slice_length)
             batch.append({"id": request.id, "internal": False, "attempt": 0,
                           "job": None if dead
                           else request_to_job(request, now)})
@@ -773,44 +751,34 @@ class ReservationService:
 
     @staticmethod
     def _residual_job(res: Reservation, now: float) -> Job:
-        from dataclasses import replace
-
         start = max(res.job.start, now)
         return replace(res.job, size=res.remaining, start=start,
                        arrival=start)
 
     def _schedule_and_execute(
-        self, now: float, action
-    ) -> tuple[list[dict], float, int]:
+        self, now: float, action, transitions: list[dict]
+    ) -> tuple[float, int]:
         """Plan the committed set and deliver the first epoch of slices.
 
         ``action`` holds the tick's re-plan knobs (the kernel's
-        decision).  Delivery counts only what the kernel's ``realize``
-        says the links carried.  Returns the lifecycle transitions plus
-        the tick's ``(delivered volume, completions)`` — the outcome
-        signal fed back to the kernel's policy.
+        decision).  Delivery counts only what the kernel's ``deliver``
+        says the links carried; completions go onto ``transitions``.
+        Returns the tick's ``(delivered volume, completions)`` — the
+        outcome signal fed back to the kernel's policy.
         """
-        transitions: list[dict] = []
-        delivered = 0.0
-        completed = 0
+        delivered, completed = 0.0, 0
         active = {str(r.job.id): r for r in self.book.active()}
-        if not active:
-            return transitions, delivered, completed
         residual = [
-            job
-            for job in (
-                self._residual_job(active[k], now) for k in sorted(active)
-            )
-            if job.end - job.start >= self.slice_length - _EPS
+            self._residual_job(active[k], now) for k in sorted(active)
+            if not window_closed(active[k].job.start, active[k].job.end, now,
+                                 self.slice_length)
         ]
         if not residual:
-            return transitions, delivered, completed
+            return delivered, completed
         kernel = self._kernel
-        grid = kernel.grid_for(residual)
         try:
-            result = kernel.scheduler_for(action).schedule(
-                JobSet(residual), grid,
-                capacity_profile=kernel.planning_profile(grid),
+            result = kernel.plan(
+                JobSet(residual), action,
                 path_sets=kernel.routes(
                     residual, kernel.engine_for(action.k_paths)
                 ),
@@ -820,20 +788,16 @@ class ReservationService:
             # Defensive: no feasible plan this tick (e.g. every path of a
             # commitment failed).  Deliver nothing; faults/expiry will
             # void or expire the affected reservations visibly.
-            return transitions, delivered, completed
+            return delivered, completed
         if result.degraded is not None:
             current().count("service_degraded_solves")
-        structure = result.structure
-        executed, x = kernel.realize(structure, result.x)
-        delivery = per_slice_delivery(structure, x)
-        rate = self.network.wavelength_rate
+        delivery = kernel.deliver(result)
         # The service's volume tolerance is the tight 1e-9 (ledger
         # residuals are exact), versus the simulator's looser 1e-6.
-        used = used_edges(structure, result.x, _VOLUME_TOL)
-        for i, job in enumerate(structure.jobs):
+        used = used_edges(result.structure, result.x, _VOLUME_TOL)
+        for job, volume in zip(result.structure.jobs, delivery.volume):
             res = active[str(job.id)]
             res.used_edges = used.get(job.id, frozenset())
-            volume = float(delivery[i, executed].sum()) * rate if executed else 0.0
             if volume <= _VOLUME_TOL:
                 continue
             delivered += min(volume, res.remaining)
@@ -844,7 +808,7 @@ class ReservationService:
                 completed += 1
                 transitions.append({"id": res.job.id, "status": "completed"})
                 self.stats.count("completed")
-        return transitions, delivered, completed
+        return delivered, completed
 
     # ------------------------------------------------------------------
     # Journal format
@@ -868,7 +832,7 @@ class ReservationService:
         return {
             "epoch": int(epoch),
             "now": float(now),
-            "fault_idx": int(self._fault_idx),
+            "fault_idx": int(self._kernel.fault_idx),
             "bucket_tokens": float(self._bucket_tokens),
             # The enriched ledger dicts (accepts carry endpoints/size):
             # resume rebuilds the ledger byte-for-byte from these.
@@ -950,7 +914,7 @@ class ReservationService:
         last = replay.last_entry
         if last is not None:
             service.epoch = int(last["epoch"]) + 1
-            service._fault_idx = int(last["fault_idx"])
+            service._kernel.fault_idx = int(last["fault_idx"])
             service._bucket_tokens = float(last["bucket_tokens"])
             service._internal = [dict(e) for e in last["internal"]]
         service._journal = EpochJournal.open_existing(path, entry_kind="batch")

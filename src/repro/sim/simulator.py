@@ -24,7 +24,7 @@ paper's earlier companion papers quantified.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Literal
 
@@ -50,7 +50,7 @@ from ..recovery.crash import CrashInjector
 from ..recovery.journal import EpochJournal, read_journal
 from ..workload.jobs import Job, JobSet
 from ..core.admission import admit_greedy, admit_max_prefix, by_arrival
-from ..core.metrics import mean_link_utilization, per_slice_delivery
+from ..core.metrics import mean_link_utilization
 from ..core.ret import solve_ret
 from .events import (
     DegradedSolve,
@@ -218,19 +218,15 @@ class Simulation:
     fault_schedule:
         Optional :class:`~repro.faults.FaultSchedule` of link failures,
         degradations and repairs.  The controller detects faults at
-        epoch boundaries (emitting ``LinkFailed`` / ``LinkDegraded`` /
+        epoch boundaries (``LinkFailed`` / ``LinkDegraded`` /
         ``LinkRestored``), replans surviving jobs on the boundary's
-        fault snapshot with paths rebuilt around dead links
-        (``JobRescheduled``), and voids executed volume a mid-epoch
-        fault destroyed (``DeliveryLost``); jobs whose endpoints are
-        disconnected are held until repair.  These rules are the
-        kernel's (:meth:`~repro.control.EpochKernel.routes`,
-        :meth:`~repro.control.EpochKernel.planning_profile`,
-        :meth:`~repro.control.EpochKernel.realize`), shared with the
-        reservation service.  The ``reject`` policy's admission probes
-        and the ``extend`` policy's RET search avoid dead links but
-        still assume installed capacity — the controller only learns of
-        a degradation's throughput cost at the scheduling stage.
+        fault snapshot around dead links (``JobRescheduled``), and
+        voids executed volume a mid-epoch fault destroyed
+        (``DeliveryLost``); disconnected jobs are held until repair.
+        These are the kernel's rules, shared with the reservation
+        service (:class:`~repro.control.EpochKernel`).  The ``reject``
+        probes and the ``extend`` RET search avoid dead links but still
+        assume installed capacity.
     resilience:
         Optional :class:`~repro.lp.solver.SolveResilience` for every LP
         solve in the run, the ``reject`` policy's admission probes
@@ -405,17 +401,18 @@ class Simulation:
                 'the "mid-journal" crash point needs a journal= path to tear'
             )
         self.crash_injector = crash_injector
-        if control_policy is not None and not getattr(
-            control_policy, "journal_safe", False
+        if (
+            control_policy is not None
+            and journal is not None
+            and not getattr(control_policy, "journal_safe", False)
         ):
             # A resumed run replays without the policy object, so an
             # adaptive policy would fork the recorded timeline.
-            if journal is not None:
-                raise ValidationError(
-                    "journal= requires a journal-safe control policy "
-                    "(FixedPolicy or None); adaptive policies cannot be "
-                    "replayed on resume"
-                )
+            raise ValidationError(
+                "journal= requires a journal-safe control policy "
+                "(FixedPolicy or None); adaptive policies cannot be "
+                "replayed on resume"
+            )
         self.control_policy = control_policy
 
     # ------------------------------------------------------------------
@@ -427,11 +424,15 @@ class Simulation:
     def controller(self, jobs: JobSet, horizon: float | None = None):
         """Start a run in stepwise form: ``(kernel, steps generator)``.
 
-        The generator is the controller loop itself, paused at every
-        decision point: it yields ``("decide", observation)`` before
-        each scheduling pass (send an
-        :class:`~repro.control.EpochAction` to override the knobs, or
-        ``None`` to let the kernel's policy decide) and
+        The generator is the controller loop itself.  Each epoch runs
+        named phases over one shared run state: arrivals and fault
+        detection; expiry and reschedule flags; then, while a job is
+        active, the decide point, admit, plan (the kernel's
+        :meth:`~repro.control.EpochKernel.plan`), execute (its
+        :meth:`~repro.control.EpochKernel.deliver`) and commit.  It
+        yields ``("decide", observation)`` before each scheduling pass
+        (send an :class:`~repro.control.EpochAction` to override the
+        knobs, or ``None`` to let the kernel's policy decide) and
         ``("outcome", EpochOutcome)`` after each committed epoch; its
         ``StopIteration.value`` is the :class:`SimulationResult`.
         :meth:`run` drives it start to finish sending ``None``;
@@ -544,31 +545,18 @@ class Simulation:
         into the log and its last entry's records, cursor and used edges
         overlay the fresh state.
         """
-        records = {j.id: JobRecord(j, j.end, j.size) for j in jobs}
-        events: list[Event] = []
-        used_edges: dict[int | str, frozenset[int]] = {}
-        kernel = EpochKernel(
-            tau=self.tau,
-            slice_length=self.slice_length,
-            base_action=base_action_for(
-                alpha=self.alpha,
-                k_paths=self.k_paths,
-                admission_policy=self.policy,
-                rejection=self.rejection,
-            ),
-            policy=self.control_policy,
-            fault_schedule=self.fault_schedule,
-            crash_injector=self.crash_injector,
-            solve_budget=self.solve_budget,
-            network=self.network,
-            warm_start=self.warm_start,
-            resilience=self.resilience,
-            verify_solutions=self.verify_solutions,
-        )
+        kernel = EpochKernel.for_driver(self, base_action_for(
+            alpha=self.alpha,
+            k_paths=self.k_paths,
+            admission_policy=self.policy,
+            rejection=self.rejection,
+        ))
+        run = _Run(kernel, horizon, journal,
+                   records={j.id: JobRecord(j, j.end, j.size) for j in jobs})
         last = None
         if replay is not None:
             for entry in replay.entries:
-                events.extend(
+                run.events.extend(
                     event_from_dict(ev) for ev in entry.get("events", ())
                 )
             last = replay.last_entry
@@ -577,20 +565,22 @@ class Simulation:
             kernel.epoch = int(last["epoch"])
             kernel.fault_idx = int(last["fault_idx"])
             for rec_data in last["records"]:
-                rec = records[rec_data["job"]]
+                rec = run.records[rec_data["job"]]
                 rec.status = str(rec_data["status"])
                 rec.remaining = float(rec_data["remaining"])
                 rec.effective_end = float(rec_data["effective_end"])
                 ct = rec_data["completion_time"]
                 rec.completion_time = float(ct) if ct is not None else None
-            used_edges = {
+            run.used_edges = {
                 row[0]: frozenset(int(e) for e in row[1])
                 for row in last.get("used_edges", ())
             }
-        steps = self._epoch_steps(
-            kernel, jobs, horizon, records, events, used_edges, journal
+        run.arrivals = sorted(
+            (rec.job for rec in run.records.values() if rec.status == "pending"),
+            key=lambda j: (j.arrival, str(j.id)),
         )
-        return kernel, steps
+        run.journal_mark = len(run.events)
+        return kernel, self._epoch_steps(run)
 
     @staticmethod
     def _drive(steps) -> SimulationResult:
@@ -602,250 +592,274 @@ class Simulation:
         except StopIteration as stop:
             return stop.value
 
-    def _epoch_steps(
-        self,
-        kernel: EpochKernel,
-        jobs: JobSet,
-        horizon: float,
-        records: dict,
-        events: list,
-        used_edges: dict,
-        journal: EpochJournal | None,
-    ):
-        """The controller loop as a generator over the kernel contract.
-
-        Each epoch runs observe → decide → solve → execute → commit.
-        The generator pauses twice per scheduling epoch: at the decide
-        point (yielding ``("decide", observation)``; send an action to
-        override, ``None`` to let the kernel's policy choose) and after
-        the commit (yielding ``("outcome", EpochOutcome)``).  Returns
-        the :class:`SimulationResult` via ``StopIteration.value``.
-        """
-        kept_schedules: list = []
-        verification: list = []
-        journal_mark = len(events)
-
-        def commit(crash_epoch: int | None = None) -> None:
-            """Durably record the loop state reached so far."""
-            nonlocal journal_mark
-            if journal is None:
-                return
-            entry = {
-                "epoch": int(kernel.epoch),
-                "now": float(kernel.now),
-                "fault_idx": int(kernel.fault_idx),
-                "records": [
-                    {
-                        "job": rec.job.id,
-                        "status": rec.status,
-                        "remaining": rec.remaining,
-                        "effective_end": rec.effective_end,
-                        "completion_time": rec.completion_time,
-                    }
-                    for rec in records.values()
-                ],
-                "used_edges": [
-                    [job_id, sorted(int(e) for e in edges)]
-                    for job_id, edges in sorted(
-                        used_edges.items(), key=lambda kv: str(kv[0])
-                    )
-                ],
-                "events": [
-                    {"type": type(ev).__name__, **asdict(ev)}
-                    for ev in events[journal_mark:]
-                ],
-            }
-            kernel.commit(journal, entry, crash_epoch=crash_epoch)
-            journal_mark = len(events)
-
-        unseen = sorted(
-            (rec.job for rec in records.values() if rec.status == "pending"),
-            key=lambda j: (j.arrival, str(j.id)),
-        )
-        while kernel.now < horizon - 1e-9:
-            now = kernel.now
-            # 1. Collect arrivals up to this epoch.
-            while unseen and unseen[0].arrival <= now + 1e-9:
-                job = unseen.pop(0)
-                events.append(JobArrived(now, job.id))
-                records[job.id].status = "active"
-
-            # 1b. Detect faults that struck since the last boundary (the
-            # kernel advances the cursor and drops any carried plan whose
-            # feasibility certificate predates the strike); translate the
-            # raw timeline events into the simulator's detection log.
-            detection = kernel.detect_faults(now)
-            affected = detection.affected
-            for ev in detection.events:
-                if isinstance(ev, LinkDown):
-                    events.append(LinkFailed(now, ev.source, ev.target, ev.time))
-                elif isinstance(ev, WavelengthDegrade):
-                    events.append(
-                        LinkDegraded(now, ev.source, ev.target, ev.remaining, ev.time)
-                    )
-                else:
-                    events.append(LinkRestored(now, ev.source, ev.target, ev.time))
-
-            # 2. Expire active jobs whose window can no longer fit a slice.
-            self._expire_stale(records, now, events)
-
-            # 2b. Flag survivors whose current plan crossed a dead link.
-            if affected:
-                for rec in records.values():
-                    if rec.status != "active":
-                        continue
-                    if used_edges.get(rec.job.id, frozenset()) & affected:
-                        events.append(
-                            JobRescheduled(
-                                now, rec.job.id, "replanning around failed link"
-                            )
-                        )
-
-            # 3. Residual instance over future time.
-            residual = self._residual_jobs(records, now)
+    def _epoch_steps(self, run: _Run):
+        """The controller loop over the epoch phases (see :meth:`controller`)."""
+        kernel = run.kernel
+        while kernel.now < run.horizon - 1e-9:
+            self._expire_and_flag(run, self._arrivals_and_faults(run))
+            residual = self._residual_jobs(run.records, kernel.now)
             if residual is None:
-                if not unseen:
+                if run.next_arrival == len(run.arrivals):
                     break  # nothing active, nothing to come
-                kernel.advance(to=self._advance_to(unseen[0].arrival))
-                commit()
+                # Jump to the epoch boundary of the next arrival.
+                t = run.arrivals[run.next_arrival].arrival
+                kernel.advance(to=np.ceil(t / self.tau - 1e-9) * self.tau)
+                self._commit(run)
                 continue
-
-            # 3b. The decide point: observe, then let the policy (or a
-            # SchedulingEnv driver) pick this epoch's knobs.  Without a
-            # policy the observation is skipped and the base action is
-            # returned untouched — the zero-overhead default path.
-            obs = None
-            if kernel.wants_observation:
-                active = [r for r in records.values() if r.status == "active"]
-                obs = kernel.observe(
-                    backlog=len(active),
-                    total_remaining=sum(r.remaining for r in active),
-                    queue_depth=len(unseen),
-                )
+            obs = self._observe(run)
             action = yield ("decide", obs)
-            if action is None:
-                action = kernel.decide(obs)
-            else:
-                action = action.validate()
-            engine = kernel.engine_for(action.k_paths)
+            action = kernel.decide(obs) if action is None else action.validate()
             budget = kernel.budget_for(action)
-
             kernel.crash_point("pre-solve")
             if budget is not None:
-                # A fresh allowance per epoch: the budget covers the
-                # whole solve chain (RET + scheduling) for this pass.
+                # A fresh allowance per epoch, covering the whole solve
+                # chain (RET + scheduling) of this pass.
                 budget.restart()
-
-            # 4. Admission control + scheduling, timed as one pass (the
-            #    span replaces the old hand-rolled perf_counter block and
-            #    also feeds the SchedulingPass event's solve time).
-            telemetry = current()
-            with telemetry.span("scheduling_pass") as pass_span:
-                epoch_paths = kernel.routes(residual, engine)
-                if epoch_paths is not None:
-                    # Hold the jobs the failures cut off: they stay
-                    # active, delivering nothing, until a repair
-                    # reconnects them or their window expires.
-                    routable = [
-                        j for j in residual if epoch_paths[(j.source, j.dest)]
-                    ]
-                    residual = JobSet(routable) if routable else None
-                if residual is not None:
-                    residual = self._apply_policy(
-                        residual, records, kernel, events, epoch_paths,
-                        action=action, engine=engine, budget=budget,
-                    )
-                if residual is not None:
-                    grid = kernel.grid_for(residual)
-                    result = kernel.scheduler_for(action).schedule(
-                        residual,
-                        grid,
-                        capacity_profile=kernel.planning_profile(
-                            grid, self.capacity_profile
-                        ),
-                        path_sets=epoch_paths,
-                        budget=budget,
-                    )
-            if residual is not None and telemetry.enabled:
-                # Per-epoch engine reuse evidence (telemetry-only — the
-                # records never enter the journal, so warm/cold
-                # equivalence is untouched).
-                telemetry.record(
-                    "epoch_cache_stats", epoch=kernel.epoch,
-                    **kernel.cache_delta(),
-                )
-            if residual is None:
+            result = self._plan(run, residual, action, budget)
+            if result is None:
                 kernel.advance()
-                commit()
+                self._commit(run)
                 continue
-            kernel.crash_point("post-solve")
-            events.append(
-                SchedulingPass(
-                    now,
-                    kernel.epoch,
-                    len(residual),
-                    result.zstar,
-                    result.overloaded,
-                    pass_span.elapsed,
-                    mean_link_utilization(result.structure, result.x),
-                )
-            )
-            if result.degraded is not None:
-                events.append(
-                    DegradedSolve(
-                        now, kernel.epoch, result.degraded,
-                        result.degraded_reason or "",
-                    )
-                )
-
-            if self.keep_schedules:
-                kept_schedules.append((kernel.epoch, result))
-            if self.fault_schedule is not None:
-                used_edges.update(
-                    shared_used_edges(result.structure, result.x, _VOLUME_TOL)
-                )
-            if self.verify_epochs:
-                self._verify_planned(result, verification)
-
-            # 5. Execute the first tau worth of slices, then commit the
-            #    post-execution state as this epoch's journal record.
-            delivered, completed = self._execute(
-                kernel, result, records, events, verification
-            )
-            kernel.crash_point("pre-commit")
-            pass_epoch = kernel.epoch
-            kernel.advance()
-            commit(crash_epoch=pass_epoch)
-            kernel.crash_point("post-commit", pass_epoch)
-            outcome = EpochOutcome(
-                epoch=pass_epoch,
-                delivered=delivered,
-                completed=completed,
-                zstar=result.zstar,
-                overloaded=result.overloaded,
-                degraded=result.degraded is not None,
-            )
+            delivered, completed = self._execute(run, result)
+            outcome = self._commit_pass(run, result, delivered, completed)
             kernel.feedback(obs, action, outcome)
             yield ("outcome", outcome)
 
-        self._expire_stale(records, horizon, events, final=True)
-        if journal is not None:
-            journal.close()  # run finished: release the append lock
+        self._expire_stale(run.records, run.horizon, run.events, final=True)
+        if run.journal is not None:
+            run.journal.close()  # run finished: release the append lock
         return SimulationResult(
-            records=tuple(records.values()),
-            events=tuple(events),
-            horizon=float(horizon),
-            schedules=tuple(kept_schedules),
-            verification=tuple(verification),
+            records=tuple(run.records.values()),
+            events=tuple(run.events),
+            horizon=float(run.horizon),
+            schedules=tuple(run.schedules),
+            verification=tuple(run.verification),
         )
+
+    # ------------------------------------------------------------------
+    # Epoch phases
+    # ------------------------------------------------------------------
+    def _arrivals_and_faults(self, run: _Run) -> frozenset[int]:
+        """Activate the jobs that arrived by now and detect new faults.
+
+        The kernel advances the fault cursor (dropping any carried plan
+        whose feasibility certificate predates a strike); the raw
+        timeline events become the simulator's detection log.  Returns
+        the edges whose capacity a new fault cut.
+        """
+        now, events = run.kernel.now, run.events
+        arrivals = run.arrivals
+        while (run.next_arrival < len(arrivals)
+               and arrivals[run.next_arrival].arrival <= now + 1e-9):
+            job = arrivals[run.next_arrival]
+            run.next_arrival += 1
+            events.append(JobArrived(now, job.id))
+            run.records[job.id].status = "active"
+        detection = run.kernel.detect_faults()
+        for ev in detection.events:
+            if isinstance(ev, LinkDown):
+                events.append(LinkFailed(now, ev.source, ev.target, ev.time))
+            elif isinstance(ev, WavelengthDegrade):
+                events.append(
+                    LinkDegraded(now, ev.source, ev.target, ev.remaining, ev.time)
+                )
+            else:
+                events.append(LinkRestored(now, ev.source, ev.target, ev.time))
+        return detection.affected
+
+    def _expire_and_flag(self, run: _Run, affected: frozenset[int]) -> None:
+        """Expire stale windows; flag survivors whose plan crossed a
+        link that just lost capacity."""
+        now = run.kernel.now
+        self._expire_stale(run.records, now, run.events)
+        if not affected:
+            return
+        for rec in run.records.values():
+            if (rec.status == "active"
+                    and run.used_edges.get(rec.job.id, frozenset()) & affected):
+                run.events.append(JobRescheduled(
+                    now, rec.job.id, "replanning around failed link"
+                ))
+
+    def _observe(self, run: _Run):
+        """The decide point's observation.
+
+        Without a policy it is skipped (``None``) and the kernel returns
+        the base action untouched: the zero-overhead default path.
+        """
+        if not run.kernel.wants_observation:
+            return None
+        active = [r for r in run.records.values() if r.status == "active"]
+        return run.kernel.observe(
+            backlog=len(active),
+            total_remaining=sum(r.remaining for r in active),
+            queue_depth=len(run.arrivals) - run.next_arrival,
+        )
+
+    def _admit(self, run: _Run, residual: JobSet, action, budget):
+        """Route around dead links, then apply the admission policy.
+
+        Jobs the failures cut off are held: they stay active, delivering
+        nothing, until a repair reconnects them or their window expires.
+        Returns ``(admitted residual or None, the epoch's path sets)``.
+        """
+        engine = run.kernel.engine_for(action.k_paths)
+        paths = run.kernel.routes(residual, engine)
+        if paths is not None:
+            routable = [j for j in residual if paths[(j.source, j.dest)]]
+            residual = JobSet(routable) if routable else None
+        if residual is not None:
+            residual = self._apply_policy(
+                run, residual, paths, action, engine, budget
+            )
+        return residual, paths
+
+    def _plan(self, run: _Run, residual: JobSet, action, budget):
+        """Admit and plan as one timed pass, then record the pass.
+
+        The ``scheduling_pass`` span's time is the ``SchedulingPass``
+        event's solve time.  Returns the schedule, or ``None`` when
+        nothing was admitted.
+        """
+        kernel = run.kernel
+        telemetry = current()
+        with telemetry.span("scheduling_pass") as pass_span:
+            residual, paths = self._admit(run, residual, action, budget)
+            result = None if residual is None else kernel.plan(
+                residual, action, path_sets=paths, budget=budget,
+                maintenance=self.capacity_profile,
+            )
+        if result is None:
+            return None
+        if telemetry.enabled:
+            # Per-epoch engine reuse evidence; telemetry only, never
+            # journaled, so warm/cold equivalence is untouched.
+            telemetry.record(
+                "epoch_cache_stats", epoch=kernel.epoch, **kernel.cache_delta()
+            )
+        kernel.crash_point("post-solve")
+        now, epoch = kernel.now, kernel.epoch
+        run.events.append(SchedulingPass(
+            now, epoch, len(residual), result.zstar, result.overloaded,
+            pass_span.elapsed, mean_link_utilization(result.structure, result.x),
+        ))
+        if result.degraded is not None:
+            run.events.append(DegradedSolve(
+                now, epoch, result.degraded, result.degraded_reason or ""
+            ))
+        if self.keep_schedules:
+            run.schedules.append((epoch, result))
+        if self.fault_schedule is not None:
+            run.used_edges.update(
+                shared_used_edges(result.structure, result.x, _VOLUME_TOL)
+            )
+        if self.verify_epochs:
+            # Fairness is deliberately unchecked: escalation may stop at
+            # ``alpha_max`` with the floor unmet, which is a recorded
+            # outcome (``result.meets_fairness``), not a violation.
+            self._verify(run, result.structure, result.x, integral=True)
+        return result
+
+    def _execute(self, run: _Run, result) -> tuple[float, int]:
+        """Deliver the plan's first epoch of slices into the records.
+
+        Volume the kernel voided is a ``DeliveryLost`` event; realized
+        volume at or below the simulator's 1e-6 tolerance is ignored.
+        Returns ``(delivered volume, completions)`` for the epoch, the
+        outcome signal the kernel feeds back to its policy.
+        """
+        delivery = run.kernel.deliver(result)
+        if self.verify_epochs and delivery.voided:
+            # Voiding scales grants fractionally, so integrality no longer
+            # applies; executed slices hold the worst-case capacity the
+            # faults left standing, within the planning capacities.
+            cap = result.structure.capacity_grid()
+            for j, caps in zip(delivery.executed, delivery.capacity):
+                cap[:, j] = np.minimum(cap[:, j], caps)
+            self._verify(run, result.structure, delivery.x,
+                         integral=False, capacity=cap)
+        end = run.kernel.now + self.tau
+        grid = result.structure.grid
+        delivered, completions = 0.0, 0
+        for i, job in enumerate(result.structure.jobs):
+            rec = run.records[job.id]
+            volume = delivery.volume[i]
+            lost = (min(delivery.planned[i], rec.remaining)
+                    - min(volume, rec.remaining))
+            if lost > _VOLUME_TOL:
+                run.events.append(DeliveryLost(
+                    end, job.id, lost, "link capacity lost mid-epoch"
+                ))
+            if volume <= _VOLUME_TOL:
+                continue
+            volume = min(volume, rec.remaining)
+            rec.remaining -= volume
+            delivered += volume
+            run.events.append(JobProgress(end, job.id, volume, rec.remaining))
+            if rec.remaining <= _VOLUME_TOL * max(rec.job.size, 1.0):
+                rec.remaining = 0.0
+                rec.status = "completed"
+                completions += 1
+                # The last byte lands at the end of the last executed
+                # slice that carried volume for this job.
+                rec.completion_time = grid.slice_end(delivery.last_slice[i])
+                run.events.append(
+                    JobCompleted(rec.completion_time, job.id, rec.met_deadline)
+                )
+        return delivered, completions
+
+    def _commit_pass(
+        self, run: _Run, result, delivered: float, completed: int
+    ) -> EpochOutcome:
+        """Advance past a scheduling epoch and journal it, between the
+        ``pre-commit`` / ``post-commit`` crash points."""
+        kernel = run.kernel
+        kernel.crash_point("pre-commit")
+        epoch = kernel.epoch
+        kernel.advance()
+        self._commit(run, crash_epoch=epoch)
+        kernel.crash_point("post-commit", epoch)
+        return EpochOutcome(
+            epoch=epoch,
+            delivered=delivered,
+            completed=completed,
+            zstar=result.zstar,
+            overloaded=result.overloaded,
+            degraded=result.degraded is not None,
+        )
+
+    def _commit(self, run: _Run, crash_epoch: int | None = None) -> None:
+        """Durably record the loop state reached so far."""
+        if run.journal is None:
+            return
+        kernel = run.kernel
+        entry = {
+            "epoch": int(kernel.epoch),
+            "now": float(kernel.now),
+            "fault_idx": int(kernel.fault_idx),
+            "records": [
+                {"job": rec.job.id, "status": rec.status,
+                 "remaining": rec.remaining, "effective_end": rec.effective_end,
+                 "completion_time": rec.completion_time}
+                for rec in run.records.values()
+            ],
+            "used_edges": [
+                [job_id, sorted(int(e) for e in edges)]
+                for job_id, edges in sorted(
+                    run.used_edges.items(), key=lambda kv: str(kv[0])
+                )
+            ],
+            "events": [
+                {"type": type(ev).__name__, **asdict(ev)}
+                for ev in run.events[run.journal_mark:]
+            ],
+        }
+        kernel.commit(run.journal, entry, crash_epoch=crash_epoch)
+        run.journal_mark = len(run.events)
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _advance_to(self, t: float) -> float:
-        """Next epoch boundary at or after ``t``."""
-        return np.ceil(t / self.tau - 1e-9) * self.tau
-
     def _residual_jobs(self, records: dict, now: float) -> JobSet | None:
         """Unfinished admitted jobs, re-windowed to start at ``now``."""
         out = []
@@ -889,10 +903,8 @@ class Simulation:
 
     def _apply_policy(
         self,
+        run: _Run,
         residual: JobSet,
-        records: dict,
-        kernel: EpochKernel,
-        events: list,
         path_sets: dict | None,
         action,
         engine: ModelEngine,
@@ -910,6 +922,7 @@ class Simulation:
         if action.admission_policy == "reduce":
             return residual
 
+        kernel, records, events = run.kernel, run.records, run.events
         now = kernel.now
         if action.admission_policy == "reject":
             admit = (
@@ -927,14 +940,10 @@ class Simulation:
                 path_sets=path_sets,
             )
             if decision.degraded:
-                events.append(
-                    DegradedSolve(
-                        now,
-                        kernel.epoch,
-                        "admission",
-                        "solve budget expired during the admission probe",
-                    )
-                )
+                events.append(DegradedSolve(
+                    now, kernel.epoch, "admission",
+                    "solve budget expired during the admission probe",
+                ))
             for job in decision.rejected:
                 rec = records[job.id]
                 # Never evict a job that already received service; it
@@ -980,99 +989,31 @@ class Simulation:
             return JobSet(out)
         return residual
 
-    def _verify_planned(self, result, verification: list) -> None:
-        """Check an epoch's planned LPDAR assignment; fail fast on errors.
-
-        Fairness is deliberately unchecked: escalation may stop at
-        ``alpha_max`` with the floor unmet, which is a recorded outcome
-        (``result.meets_fairness``), not an invariant violation.
-        """
+    def _verify(self, run: _Run, structure, x, **checks) -> None:
+        """Run the invariant checker on an epoch's allocation; fail fast."""
         from ..verify.checker import verify_assignment
 
-        report = verify_assignment(result.structure, result.x, integral=True)
-        verification.append(report)
+        report = verify_assignment(structure, x, **checks)
+        run.verification.append(report)
         report.raise_if_failed()
 
-    def _verify_realized(
-        self, structure, x_eff: np.ndarray, executed: list, verification: list
-    ) -> None:
-        """Check a fault-voided allocation against the fault ground truth.
 
-        Voiding scales grants fractionally, so integrality no longer
-        applies; capacity on executed slices is the worst case the
-        faults left standing (``min_capacity_over``), intersected with
-        the planning capacities the original assignment honoured.
-        """
-        from ..verify.checker import verify_assignment
+@dataclass
+class _Run:
+    """One run's loop state, shared by the epoch phases."""
 
-        grid = structure.grid
-        cap = structure.capacity_grid()
-        for j in executed:
-            caps = self.fault_schedule.min_capacity_over(
-                grid.slice_start(j), grid.slice_end(j)
-            )
-            cap[:, j] = np.minimum(cap[:, j], caps)
-        report = verify_assignment(structure, x_eff, integral=False, capacity=cap)
-        verification.append(report)
-        report.raise_if_failed()
-
-    def _execute(
-        self,
-        kernel: EpochKernel,
-        result,
-        records: dict,
-        events: list,
-        verification: list,
-    ) -> tuple[float, int]:
-        """Deliver the first epoch's slices of the freshly computed schedule.
-
-        Volume the kernel's ``realize`` voids is a ``DeliveryLost`` event.
-        Returns ``(delivered volume, completions)`` for the epoch — the
-        outcome signal the control kernel feeds back to its policy.
-        """
-        delivered = 0.0
-        completions = 0
-        now = kernel.now
-        structure = result.structure
-        grid = structure.grid
-        x = np.asarray(result.x, dtype=float)
-        executed, x_eff = kernel.realize(structure, x)
-        if not executed:
-            return delivered, completions
-        if self.verify_epochs and x_eff is not x:
-            self._verify_realized(structure, x_eff, executed, verification)
-        delivery = per_slice_delivery(structure, x_eff)
-        planned = delivery if x_eff is x else per_slice_delivery(structure, x)
-        rate = self.network.wavelength_rate
-        for i, job in enumerate(structure.jobs):
-            rec = records[job.id]
-            volume = float(delivery[i, executed].sum()) * rate
-            planned_volume = float(planned[i, executed].sum()) * rate
-            lost = min(planned_volume, rec.remaining) - min(volume, rec.remaining)
-            if lost > _VOLUME_TOL:
-                events.append(
-                    DeliveryLost(
-                        now + self.tau,
-                        job.id,
-                        lost,
-                        "link capacity lost mid-epoch",
-                    )
-                )
-            if volume <= _VOLUME_TOL:
-                continue
-            volume = min(volume, rec.remaining)
-            rec.remaining -= volume
-            delivered += volume
-            events.append(JobProgress(now + self.tau, job.id, volume, rec.remaining))
-            if rec.remaining <= _VOLUME_TOL * max(rec.job.size, 1.0):
-                rec.remaining = 0.0
-                rec.status = "completed"
-                completions += 1
-                # Completion lands at the end of the last executed slice
-                # that actually carried volume for this job.
-                carrying = [j for j in executed if delivery[i, j] > 0]
-                rec.completion_time = grid.slice_end(carrying[-1])
-                events.append(
-                    JobCompleted(rec.completion_time, job.id, rec.met_deadline)
-                )
-        return delivered, completions
+    kernel: EpochKernel
+    horizon: float
+    journal: EpochJournal | None
+    records: dict
+    events: list[Event] = field(default_factory=list)
+    #: Edge ids each job's current plan uses (fault runs only).
+    used_edges: dict = field(default_factory=dict)
+    #: Jobs pending at the start, in arrival order, and the cursor to
+    #: the first one not yet arrived.
+    arrivals: list[Job] = field(default_factory=list)
+    next_arrival: int = 0
+    #: Events before this index are already in the journal.
+    journal_mark: int = 0
+    schedules: list = field(default_factory=list)
+    verification: list = field(default_factory=list)

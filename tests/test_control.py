@@ -239,6 +239,49 @@ class TestExpireStaleSemantics:
         assert "final" not in params
 
 
+class TestDeliveryToleranceSemantics:
+    """Pin each driver's delivery tolerance: the simulator ignores
+    realized volume up to 1e-6, the service counts anything above 1e-9.
+
+    At a wavelength rate of 1e-7 one wavelength-slice carries 1e-7
+    units, which sits between the two tolerances.
+    """
+
+    RATE = 1e-7
+
+    def _net(self):
+        net = Network(wavelength_rate=self.RATE, name="line2-slow")
+        net.add_link_pair(0, 1, 1)
+        return net
+
+    def _job(self):
+        return Job(id="j", source=0, dest=1, size=3 * self.RATE,
+                   start=0.0, end=5.0)
+
+    def test_sim_ignores_volume_below_its_tolerance(self):
+        result = Simulation(self._net()).run(JobSet([self._job()]))
+        rec = result.records[0]
+        assert rec.status == "expired"
+        assert rec.remaining == 3 * self.RATE
+        assert result.delivered_volume == 0.0
+
+    def test_service_counts_volume_above_its_tolerance(self):
+        import asyncio
+
+        job = self._job()
+        service = ReservationService(self._net())
+        service.submit({"id": job.id, "source": job.source,
+                        "dest": job.dest, "size": job.size,
+                        "start": job.start, "end": job.end})
+        for _ in range(5):
+            asyncio.run(service.tick())
+        res = service.book.reservations["j"]
+        assert res.status == "completed"
+        assert res.remaining == 0.0
+        assert service._kernel.delivered_volume == pytest.approx(
+            3 * self.RATE, rel=1e-9)
+
+
 class TestPolicies:
     def test_fixed_is_journal_safe_identity(self):
         pol = FixedPolicy()

@@ -168,9 +168,9 @@ class TestRealizeProperty:
         original = EpochKernel.realize
 
         def spy(kernel, structure, x):
-            executed, x_eff = original(kernel, structure, x)
+            executed, x_eff, capacity = original(kernel, structure, x)
             reports.append(_realized_report(kernel, structure, executed, x_eff))
-            return executed, x_eff
+            return executed, x_eff, capacity
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(EpochKernel, "realize", spy)
