@@ -13,10 +13,10 @@ faults at the same places:
   allocation) is caught by :func:`repro.verify.verify_schedule` before
   any rounding or commit, on every instance.
 * :class:`JournalFaultInjector` is the ``fault_injector`` callable the
-  :class:`~repro.recovery.journal.EpochJournal` invokes before each
-  atomic replace.  ENOSPC/EIO faults raise :class:`OSError` before any
-  byte is written; the torn mode lands partial bytes of the *new* line
-  on disk and then fails the acknowledgement — both surface as
+  :class:`~repro.recovery.journal.EpochJournal` invokes with each new
+  line before writing it.  ENOSPC/EIO faults raise :class:`OSError`
+  before any byte is written; the torn mode lands half the new line on
+  disk and then fails the acknowledgement — both surface as
   :class:`~repro.errors.JournalWriteError` with every previously
   committed line intact.
 * :func:`chaos_fleet_probe` is the fleet task worker faults ride on:
@@ -141,7 +141,9 @@ class JournalFaultInjector:
     """Deterministic write faults for :class:`EpochJournal` appends.
 
     Installed as ``journal.fault_injector``; the journal calls it as
-    ``injector(path, content)`` immediately before each atomic replace.
+    ``injector(path, line)`` with the new line, once per
+    :meth:`~repro.recovery.journal.EpochJournal.append` or ``append_torn``,
+    immediately before writing it (never for the header).
     Write attempts are counted across the injector's whole lifetime —
     the chaos runner threads *one* instance through every run/resume of
     a composed timeline, so "fail write 2" means the second durable
@@ -152,11 +154,12 @@ class JournalFaultInjector:
 
     * ``enospc`` / ``eio`` — raise :class:`OSError` before any byte is
       written; the journal wraps it into
-      :class:`~repro.errors.JournalWriteError` and the on-disk file is
-      untouched.
-    * ``torn`` — return replacement content with the final (new) line
-      cut in half: the partial bytes land durably, the append is never
-      acknowledged, and recovery drops the torn tail.
+      :class:`~repro.errors.JournalWriteError` and the file keeps
+      exactly its committed lines.
+    * ``torn`` — return the new line's first half, as a crash between
+      write() and fsync() would leave it: the partial bytes land after
+      the committed lines, the append is never acknowledged, and
+      recovery drops the torn tail.
     """
 
     def __init__(self, faults: tuple[JournalFault, ...] = ()) -> None:
@@ -166,7 +169,7 @@ class JournalFaultInjector:
         #: Faults actually fired.
         self.injected = 0
 
-    def __call__(self, path, content: str) -> str | None:
+    def __call__(self, path, line: str) -> str | None:
         index = self.writes
         self.writes += 1
         mode = self._modes.get(index)
@@ -178,18 +181,11 @@ class JournalFaultInjector:
                 errno.ENOSPC,
                 f"chaos: injected ENOSPC on journal write {index}",
             )
-        lines = content.splitlines()
-        if mode == "eio" or len(lines) < 2:
-            # A torn header would make the journal unreadable, which is
-            # not what a torn *append* means; degrade to a plain EIO.
+        if mode == "eio":
             raise OSError(
                 errno.EIO, f"chaos: injected EIO on journal write {index}"
             )
-        # torn: every committed line survives byte-for-byte; only the
-        # freshly appended line is cut mid-way, exactly like a crash
-        # between write() and fsync() would leave it.
-        tail = lines[-1][: max(1, len(lines[-1]) // 2)]
-        return "\n".join(lines[:-1] + [tail])
+        return line[: max(1, len(line) // 2)]
 
     @property
     def exhausted(self) -> bool:

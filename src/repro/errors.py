@@ -121,7 +121,7 @@ class JournalLockedError(JournalError):
     Opening a journal for appending takes an exclusive ``<path>.lock``
     file carrying the owner's PID; a second opener from a *different
     live process* gets this error instead of silently interleaving
-    whole-file rewrites with the first.  Locks left behind by dead
+    appends with the first.  Locks left behind by dead
     processes (a crashed controller) are stale and stolen silently, as
     are locks held by the opener's own PID — a same-process reopen is
     exactly the crash-test resume path.
@@ -140,11 +140,11 @@ class JournalLockedError(JournalError):
 class JournalWriteError(JournalError):
     """An append could not be made durable; the prior journal is intact.
 
-    Raised when the atomic whole-file replace fails mid-write — disk
-    full (``ENOSPC``), an I/O error (``EIO``), or a torn write injected
-    by the chaos engine.  Unlike its parent this is *not* a verdict on
-    the journal itself: the last durable commit is still on disk (the
-    replace either happened completely or not at all), so the correct
+    Raised when writing the new line fails — disk full (``ENOSPC``), an
+    I/O error (``EIO``), or a torn write injected by the chaos engine.
+    Unlike its parent this is *not* a verdict on the journal itself:
+    the last durable commit is still on disk (a failed write is cut
+    back to it, and recovery drops a torn line), so the correct
     reaction is fail-stop — treat the entry as never committed, do not
     act on it (the reservation service withholds the batch's responses),
     and resume from the journal once the fault clears.

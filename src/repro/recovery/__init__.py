@@ -7,7 +7,7 @@ package makes the controller durable and deadline-aware:
 
 * :class:`EpochJournal` / :func:`read_journal` — a write-ahead JSONL
   commit log of per-epoch controller state, with CRC-protected lines,
-  atomic whole-file commits and torn-tail recovery;
+  one fsynced append per commit and torn-tail recovery;
 * :class:`CrashInjector` / :class:`SimulatedCrash` — deterministic
   process-death injection at named points of the epoch loop
   (:data:`CRASH_POINTS`), so recovery is testable the way

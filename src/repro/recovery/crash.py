@@ -43,9 +43,8 @@ death sites (:data:`SERVICE_CRASH_POINTS`):
     After responses are released (the tick fully committed).  Resume
     continues from the next tick with nothing repeated.
 
-(The service's journal appends are atomic whole-file writes, so the
-simulator's ``mid-journal`` torn-tail point covers the same failure
-mode for both loops.)
+(Both loops append through the same journal, so the simulator's
+``mid-journal`` torn-tail point covers the torn append for both.)
 
 The injector is one-shot: it fires the first time the run reaches its
 ``(point, epoch)`` and never again, so a resumed run sails past the

@@ -11,32 +11,27 @@ Durability model
 ----------------
 
 Every line is wrapped as ``{"v": 1, "crc": ..., "data": {...}}`` where
-``crc`` is the CRC-32 of the canonical JSON encoding of ``data``.  Each
-append rewrites the whole journal through a temp file (write, fsync,
-rename, directory fsync), so a reader never observes a half-applied
-append through the real path — the rename is atomic.  A *torn tail*
-(the last line cut short or corrupted, as a mid-write crash would leave
-behind) is still representable — :meth:`EpochJournal.append_torn`
-deliberately produces one for crash testing — and
-:func:`read_journal` recovers by dropping everything from the first
-invalid line on, reporting ``truncated=True``.
-
-Each append rewrites every line written so far, so the bytes written
-grow with the square of the run length, and ``self._lines`` keeps every
-line in memory.  That cost is not small: on a 2-vCPU host one 45 s
-perfbench serve run wrote 9.1 MB for 721 appends, although each final
-journal is about 18 KB, and the journal is about 10% of traced serve
-time.  ``benchmarks/bench_recovery_overhead.py`` bounds it against epoch
-wall time; ROADMAP item 2 (append-only commits) removes it.
+``crc`` is the CRC-32 of the canonical JSON encoding of ``data``.
+:meth:`EpochJournal.create` writes the header atomically (temp file,
+fsync, rename, directory fsync).  Each commit then writes one line at
+the byte offset where the last committed line ends, cuts the file
+there and fsyncs it, so a commit costs one line's bytes however long
+the journal is.  A crash mid-write leaves a *torn tail* (the last line
+cut short or corrupted); :meth:`EpochJournal.append_torn` makes one on
+purpose for crash testing.  :func:`read_journal` drops everything from
+the first invalid line on, reporting ``truncated=True``, and the next
+commit overwrites the torn bytes.  A failed write is cut back to the
+committed end, so after an ENOSPC or EIO the file holds exactly the
+committed lines.
 
 Append lock
 -----------
 
-Because appends rewrite the whole file, two writers interleaving on one
-journal silently destroy each other's tails.  Opening a journal for
-appending therefore takes an exclusive ``<path>.lock`` file holding the
-owner's PID (written and fsynced before use).  A second opener from a
-*different live process* raises
+Each handle writes at its own committed end, so two writers
+interleaving on one journal overwrite and truncate each other's lines.
+Opening a journal for appending therefore takes an exclusive
+``<path>.lock`` file holding the owner's PID (written and fsynced
+before use).  A second opener from a *different live process* raises
 :class:`~repro.errors.JournalLockedError`; locks whose owner PID is
 dead (a crashed controller) or is the opener's own process (the
 in-process crash-test resume path) are stale and stolen.  The lock is
@@ -151,11 +146,11 @@ def _acquire_lock(path: Path) -> Path:
     )
 
 
-def _unwrap(line: str) -> dict | None:
+def _unwrap(line: bytes) -> dict | None:
     """Decode and CRC-check one line; ``None`` if torn or corrupt."""
     try:
         wrapper = json.loads(line)
-    except json.JSONDecodeError:
+    except ValueError:  # bad JSON or bytes that are not UTF-8
         return None
     if not isinstance(wrapper, dict):
         return None
@@ -205,16 +200,20 @@ def read_journal(path: str | Path, entry_kind: str = "epoch") -> JournalReplay:
     first line, or an unsupported schema version.  Any invalid line
     *after* a valid header merely truncates the replay there.
     """
-    path = Path(path)
+    return _scan(Path(path), entry_kind)[0]
+
+
+def _scan(path: Path, entry_kind: str) -> tuple[JournalReplay, int]:
+    """The replay plus the byte length of the valid lines and newlines."""
     try:
-        text = path.read_text()
+        raw = path.read_bytes()
     except FileNotFoundError:
         raise JournalError(f"no journal at {path}") from None
     except OSError as exc:
         raise JournalError(f"cannot read journal {path}: {exc}") from None
-    lines = text.splitlines()
-    if not lines:
+    if not raw:
         raise JournalError(f"journal {path} is empty")
+    lines = raw.split(b"\n")
     header = _unwrap(lines[0])
     if header is None or header.get("kind") != "header":
         raise JournalError(
@@ -228,25 +227,25 @@ def read_journal(path: str | Path, entry_kind: str = "epoch") -> JournalReplay:
             f"understands version {SCHEMA_VERSION}"
         )
     entries: list[dict] = []
-    truncated = False
     for line in lines[1:]:
         data = _unwrap(line)
         if data is None or data.get("kind") != entry_kind:
-            truncated = True
             break
         entries.append(data)
-    return JournalReplay(
-        header=header, entries=tuple(entries), truncated=truncated
+    end = sum(len(line) + 1 for line in lines[: 1 + len(entries)])
+    replay = JournalReplay(
+        header=header, entries=tuple(entries), truncated=end < len(raw)
     )
+    return replay, end
 
 
 class EpochJournal:
-    """Append-only epoch journal with whole-file atomic commits.
+    """Append-only epoch journal: one fsynced line per commit.
 
     Use :meth:`create` for a fresh run (writes the header immediately)
-    or :meth:`open_existing` to continue one — the latter loads the
-    valid prefix via :func:`read_journal`, so the first append after a
-    torn-tail crash also heals the file.
+    or :meth:`open_existing` to continue one.  The handle keeps only the
+    byte offset where the last committed line ends and the number of
+    committed entries.
 
     Both constructors take the exclusive append lock (module docstring);
     a second live process opening the same path raises
@@ -254,21 +253,20 @@ class EpochJournal:
     the lock; an unclosed journal's lock dies with its process.
     """
 
-    def __init__(
-        self, path: str | Path, lines: list[str], entry_kind: str = "epoch"
-    ) -> None:
+    def __init__(self, path: str | Path, entry_kind: str = "epoch") -> None:
         self.path = Path(path)
         self.entry_kind = entry_kind
-        self._lines = lines
+        self._end = 0
+        self._entries = 0
         self._lock = _acquire_lock(self.path)
         self._closed = False
         #: Optional chaos hook (see :mod:`repro.chaos.inject`): called as
-        #: ``fault_injector(path, content)`` before every atomic replace.
-        #: It may raise :class:`OSError` (surfaced as
-        #: :class:`~repro.errors.JournalWriteError`) or return replacement
-        #: content — typically a torn prefix — which is written to disk
-        #: and *then* reported as a failed append (the bytes landed, the
-        #: ack did not).  ``None`` in production.
+        #: ``fault_injector(path, line)`` before each appended line is
+        #: written, never for the header.  It may raise :class:`OSError`
+        #: (surfaced as :class:`~repro.errors.JournalWriteError`) or
+        #: return replacement text — typically a torn prefix — which is
+        #: written and *then* reported as a failed append (the bytes
+        #: landed, the ack did not).  ``None`` in production.
         self.fault_injector = None
 
     # ------------------------------------------------------------------
@@ -282,25 +280,56 @@ class EpochJournal:
         record = dict(header)
         record["kind"] = "header"
         record["schema"] = SCHEMA_VERSION
-        journal = cls(path, [_wrap(record)], entry_kind)
-        journal._commit()
+        data = f"{_wrap(record)}\n".encode("utf-8")
+        journal = cls(path, entry_kind)
+        tmp = journal.path.with_name(journal.path.name + ".tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(data)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, journal.path)
+        except OSError as exc:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise JournalWriteError(
+                f"journal {journal.path}: header write failed ({exc})",
+                path=str(journal.path),
+            ) from exc
+        journal._end = len(data)
+        try:
+            dir_fd = os.open(journal.path.parent, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
+        except OSError:
+            pass  # some platforms cannot open or fsync a directory
         return journal
 
     @classmethod
     def open_existing(
         cls, path: str | Path, entry_kind: str = "epoch"
     ) -> "EpochJournal":
-        """Reopen a journal for appending, dropping any torn tail."""
-        replay = read_journal(path, entry_kind=entry_kind)
-        lines = [_wrap(replay.header)]
-        lines.extend(_wrap(entry) for entry in replay.entries)
-        return cls(path, lines, entry_kind)
+        """Reopen a journal for appending, dropping any torn tail.
+
+        Rewrites the last valid line's newline (restoring it if it was
+        lost) and cuts the file after it.
+        """
+        replay, end = _scan(Path(path), entry_kind)
+        journal = cls(path, entry_kind)
+        journal._entries = len(replay.entries)
+        journal._end = end - 1
+        journal._write("", commit=True)
+        return journal
 
     # ------------------------------------------------------------------
     @property
     def num_entries(self) -> int:
         """Committed epoch entries (the header does not count)."""
-        return len(self._lines) - 1
+        return self._entries
 
     @property
     def closed(self) -> bool:
@@ -328,81 +357,61 @@ class EpochJournal:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    def _check_open(self) -> None:
+    def _line(self, entry: dict) -> str:
+        """The journal line for ``entry``, tagged with this journal's kind."""
+        if not isinstance(entry, dict):
+            raise ValidationError("journal entry must be a dict")
         if self._closed:
             raise JournalError(
                 f"journal {self.path} is closed; reopen it with "
                 "EpochJournal.open_existing to append again"
             )
+        record = dict(entry)
+        record["kind"] = self.entry_kind
+        return _wrap(record)
 
     def append(self, entry: dict) -> None:
         """Durably commit one record (of this journal's entry kind).
 
-        On a failed replace (:class:`~repro.errors.JournalWriteError`)
-        the in-memory line list is rolled back before re-raising: the
-        entry was never committed, and the next successful append must
-        not resurrect it.
+        On :class:`~repro.errors.JournalWriteError` the committed end
+        does not move: the entry was never committed, and the next
+        append writes over whatever bytes this one left behind.
         """
-        if not isinstance(entry, dict):
-            raise ValidationError("journal entry must be a dict")
-        self._check_open()
-        record = dict(entry)
-        record["kind"] = self.entry_kind
-        self._lines.append(_wrap(record))
-        try:
-            self._commit()
-        except JournalWriteError:
-            self._lines.pop()
-            raise
+        self._write(self._line(entry), commit=True)
+        self._entries += 1
 
     def append_torn(self, entry: dict) -> None:
-        """Commit a *deliberately torn* version of ``entry``.
+        """Write the first half of ``entry``'s line and no newline.
 
-        Writes the valid prefix plus roughly half of the new line's
-        bytes with no trailing newline — the on-disk shape a crash in
-        the middle of a (non-atomic) append would leave.  Used by the
-        ``mid-journal`` crash point; :func:`read_journal` recovers to
-        the last valid record.  The in-memory line list is *not*
-        extended: the entry was never committed.
+        The on-disk shape a crash mid-append leaves, for the
+        ``mid-journal`` crash point.  The entry is not committed.
         """
-        if not isinstance(entry, dict):
-            raise ValidationError("journal entry must be a dict")
-        self._check_open()
-        record = dict(entry)
-        record["kind"] = self.entry_kind
-        line = _wrap(record)
-        torn = line[: max(1, len(line) // 2)]
-        content = "".join(f"{ln}\n" for ln in self._lines) + torn
-        self._atomic_replace(content)
+        line = self._line(entry)
+        self._write(line[: max(1, len(line) // 2)], commit=False)
 
     # ------------------------------------------------------------------
-    def _commit(self) -> None:
-        self._atomic_replace("".join(f"{ln}\n" for ln in self._lines))
+    def _write(self, line: str, *, commit: bool) -> None:
+        """Write ``line`` at the committed end, cut the file there, fsync.
 
-    def _atomic_replace(self, content: str) -> None:
-        """Atomic whole-file replace: tmp + fsync + rename + dir fsync.
-
-        A mid-write :class:`OSError` (disk full, I/O error, a fault
-        injected by ``self.fault_injector``) is re-raised as a typed
-        :class:`~repro.errors.JournalWriteError` after removing the temp
-        file — the real path was replaced atomically or not at all, so
-        the prior journal is intact either way.
+        ``commit`` adds the newline and moves the committed end past it.
+        An :class:`OSError` (disk full, I/O error, an injected fault)
+        cuts the file back to the committed end, best effort, and is
+        re-raised as :class:`~repro.errors.JournalWriteError`.
         """
-        tmp = self.path.with_name(self.path.name + ".tmp")
         torn = None
         try:
             if self.fault_injector is not None:
-                torn = self.fault_injector(self.path, content)
-                if torn is not None:
-                    content = torn
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(content)
-                fh.flush()
+                torn = self.fault_injector(self.path, line)
+            text = line + "\n" if commit else line
+            data = (text if torn is None else torn).encode("utf-8")
+            with open(self.path, "r+b") as fh:
+                fh.seek(self._end)
+                fh.write(data)
+                fh.truncate()
                 os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
         except OSError as exc:
             try:
-                os.unlink(tmp)
+                os.truncate(self.path, self._end)
             except OSError:
                 pass
             raise JournalWriteError(
@@ -416,16 +425,8 @@ class EpochJournal:
                 "reached disk but the append was never acknowledged",
                 path=str(self.path),
             )
-        try:
-            dir_fd = os.open(self.path.parent or Path("."), os.O_RDONLY)
-        except OSError:
-            return  # platform without directory opening; rename is done
-        try:
-            os.fsync(dir_fd)
-        except OSError:
-            pass  # some filesystems refuse directory fsync; best effort
-        finally:
-            os.close(dir_fd)
+        if commit:
+            self._end += len(data)
 
     def __repr__(self) -> str:
         return f"EpochJournal({str(self.path)!r}, entries={self.num_entries})"

@@ -300,20 +300,10 @@ class TestJournalFaultInjector:
         assert excinfo.value.errno == errno.EIO
         assert injector.exhausted
 
-    def test_torn_header_degrades_to_eio(self, tmp_path):
-        # Tearing the only line would make the file unreadable, which
-        # is not what a torn *append* means.
-        injector = JournalFaultInjector((JournalFault("torn", 0),))
-        with pytest.raises(OSError) as excinfo:
-            injector(tmp_path / "j", "just-a-header")
-        assert excinfo.value.errno == errno.EIO
-
     def test_torn_append_cuts_only_the_new_line(self, tmp_path):
+        # The hook sees only the new line; committed lines never reach it.
         injector = JournalFaultInjector((JournalFault("torn", 0),))
-        content = injector(tmp_path / "j", "committed-1\ncommitted-2\nfresh")
-        lines = content.splitlines()
-        assert lines[:2] == ["committed-1", "committed-2"]
-        assert lines[2] == "fr"
+        assert injector(tmp_path / "j", "fresh") == "fr"
 
 
 # ----------------------------------------------------------------------

@@ -162,7 +162,7 @@ def test_fault_journal_identical_warm_vs_cold(seed, tmp_path):
     """
     sc = make_scenario(seed, allow_faults=True)
     assume(sc.fault_schedule is not None)
-    # The journal rewrites the whole file per commit, so reusing the
+    # create() replaces any earlier file at the path, so reusing the
     # same paths across hypothesis examples is safe.
     paths = {True: tmp_path / "warm.jsonl", False: tmp_path / "cold.jsonl"}
     for flag, path in paths.items():

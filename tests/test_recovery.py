@@ -10,7 +10,12 @@ degradation ladder instead of raising.
 
 from __future__ import annotations
 
+import errno
+import gc
 import json
+import os
+import tracemalloc
+import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,6 +29,7 @@ from repro import (
     Job,
     JobSet,
     JournalError,
+    JournalWriteError,
     Scheduler,
     SimulatedCrash,
     Simulation,
@@ -146,8 +152,6 @@ class TestJournal:
         path = tmp_path / "j.jsonl"
         journal = EpochJournal.create(path, {"run": "x"})
         # Rewrite the header claiming a future schema version.
-        import zlib
-
         data = dict(read_journal(path).header)
         data["schema"] = 999
         canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
@@ -181,17 +185,90 @@ class TestJournal:
         assert replay.truncated
         assert [e["epoch"] for e in replay.entries] == [0]
 
-    def test_open_existing_heals_torn_tail(self, tmp_path):
+    @staticmethod
+    def _fail_fsync_after_partial_write(monkeypatch):
+        """The next fsync keeps only part of the written bytes, then fails."""
+        real_fsync = os.fsync
+
+        def failing_fsync(fd):
+            monkeypatch.setattr(os, "fsync", real_fsync)
+            os.ftruncate(fd, os.fstat(fd).st_size - 8)
+            raise OSError(errno.EIO, "injected EIO after a partial write")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+
+    @pytest.mark.parametrize(
+        "damage, reopen",
+        [
+            pytest.param("torn-tail", True, id="torn-tail"),
+            # A torn 4 KB line outlasts the short line written over it.
+            pytest.param("long-torn-tail", False, id="long-torn-tail"),
+            pytest.param("long-torn-tail", True, id="long-torn-tail-reopen"),
+            pytest.param("no-final-newline", True, id="no-final-newline"),
+            pytest.param("oserror", False, id="oserror-mid-write"),
+            pytest.param("oserror", True, id="oserror-mid-write-reopen"),
+        ],
+    )
+    def test_open_existing_heals_torn_tail(
+        self, tmp_path, monkeypatch, damage, reopen
+    ):
         path = tmp_path / "j.jsonl"
         journal = EpochJournal.create(path, {"run": "x"})
         journal.append({"epoch": 0})
-        journal.append_torn({"epoch": 1})
-        healed = EpochJournal.open_existing(path)
-        assert healed.num_entries == 1
-        healed.append({"epoch": 1})  # first append rewrites a clean file
+        if damage == "torn-tail":
+            journal.append_torn({"epoch": 1})
+        elif damage == "long-torn-tail":
+            journal.append_torn({"epoch": 1, "pad": "x" * 4096})
+        elif damage == "no-final-newline":
+            path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        else:
+            self._fail_fsync_after_partial_write(monkeypatch)
+            with pytest.raises(JournalWriteError):
+                journal.append({"epoch": 1})
+            assert not read_journal(path).truncated  # cut back to epoch 0
+        if reopen:
+            journal = EpochJournal.open_existing(path)
+        assert journal.num_entries == 1
+        journal.append({"epoch": 1})
         replay = read_journal(path)
         assert not replay.truncated
         assert [e["epoch"] for e in replay.entries] == [0, 1]
+
+    def test_append_writes_one_line_in_place(self, tmp_path):
+        """Each commit adds exactly its own line to the same file."""
+        path = tmp_path / "j.jsonl"
+        journal = EpochJournal.create(path, {"run": "x"})
+        inode = path.stat().st_ino
+        for epoch in range(50):
+            size = path.stat().st_size
+            journal.append({"epoch": epoch})
+            data = {"epoch": epoch, "kind": "epoch"}
+            canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+            line = json.dumps(
+                {"v": 1, "crc": zlib.crc32(canonical.encode()), "data": data},
+                sort_keys=True, separators=(",", ":"),
+            )
+            assert path.stat().st_ino == inode, "append replaced the file"
+            assert path.stat().st_size == size + len(line) + 1
+        assert read_journal(path).entries[-1]["epoch"] == 49
+
+    def test_append_memory_is_bounded(self, tmp_path):
+        """A handle keeps no per-line state: 1,000 appends, a few KB."""
+        journal = EpochJournal.create(tmp_path / "j.jsonl", {"run": "x"})
+        for epoch in range(10):  # warm up lazily built caches
+            journal.append({"epoch": epoch})
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for epoch in range(1000):
+                journal.append({"epoch": epoch})
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert journal.num_entries == 1010
+        assert grown < 4096, f"1,000 appends kept {grown} bytes"
 
     json_values = st.recursive(
         st.none()
