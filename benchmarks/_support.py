@@ -8,6 +8,8 @@ and are now defined once so the fleet benchmark and future suites pick
 up the same timing and document conventions:
 
 * :func:`time_best_of` — best-of-N wall timing, returning the result;
+* :func:`time_pairs` — two callables timed alternately in one process,
+  for gates on a ratio of their wall times;
 * :func:`booked_ahead` — workload windows shifted ahead of submission
   (the multi-epoch controller shape used by ENG and the fleet bench);
 * :func:`bench_versions` — the ``versions`` stanza every
@@ -49,6 +51,26 @@ def time_best_of(fn, repeats: int = 3):
         result = fn()
         best = min(best, time.perf_counter() - t0)
     return best, result
+
+
+def time_pairs(first, second, pairs: int):
+    """Wall times of ``first`` and ``second`` run alternately, ``pairs`` each.
+
+    Pair ``k`` runs ``first`` then ``second`` when ``k`` is even and the
+    other way round when it is odd, so a drift in the host's speed lands
+    on both sides of a pair instead of on one whole block of runs.
+    Returns ``(first's seconds, second's seconds, first's last result,
+    second's last result)``; the two lists are aligned by pair.
+    """
+    fns = (first, second)
+    times: tuple[list[float], list[float]] = ([], [])
+    results = [None, None]
+    for k in range(max(1, pairs)):
+        for side in (0, 1) if k % 2 == 0 else (1, 0):
+            t0 = time.perf_counter()
+            results[side] = fns[side]()
+            times[side].append(time.perf_counter() - t0)
+    return times[0], times[1], results[0], results[1]
 
 
 def booked_ahead(generator, num_jobs: int, arrival_mod: int, lead_slices: int):

@@ -11,6 +11,10 @@ knobs.  This benchmark pins the two promises that refactor made:
   observe → decide → feedback path exercised every epoch) must cost at
   most ``OVERHEAD_CEILING`` more wall time than the bare
   ``control_policy=None`` run, and must produce identical records.
+  Bare and armed runs alternate in one process, ``OVERHEAD_PAIRS`` of
+  each, and the gate reads the median of the per-pair ``armed / bare``
+  ratios: two best-of blocks timed one after the other read anywhere
+  from -12% to +36% on one tree on a shared 2-vCPU host.
   The bare run is itself the seed baseline — the kernel's default path
   builds no observations and reuses the prebuilt scheduler, so the
   refactor's cost on untouched callers is bounded by the same gate.
@@ -49,17 +53,19 @@ from _support import (
     abilene_network,
     bench_versions,
     booked_ahead,
-    time_best_of,
+    time_pairs,
     write_bench_document,
 )
 
 SEED = 1009
-REPEATS = 5
+#: Bare/armed pairs the overhead gate times; odd, so the median is one
+#: pair's ratio.
+OVERHEAD_PAIRS = 15
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_control.json"
 
 #: Acceptance ceiling on the kernel's wall-time overhead: a FixedPolicy
 #: run (full observe/decide/feedback every epoch) may cost at most this
-#: fraction more than the bare run (ISSUE 10 target: <= 5%).
+#: fraction more than the bare run, in the median pair.
 OVERHEAD_CEILING = 0.05
 
 #: The policy sweep's instances: ``(seed, index)`` draws its jobs from
@@ -104,16 +110,15 @@ def _case_kernel_overhead():
     """Bare kernel vs FixedPolicy-armed kernel on a multi-epoch run."""
     network, jobs = _sim_instance()
 
-    bare_s, bare = time_best_of(
+    bare_times, armed_times, bare, armed = time_pairs(
         lambda: Simulation(network, policy="extend").run(jobs),
-        repeats=REPEATS,
-    )
-    armed_s, armed = time_best_of(
         lambda: Simulation(
             network, policy="extend", control_policy=FixedPolicy()
         ).run(jobs),
-        repeats=REPEATS,
+        OVERHEAD_PAIRS,
     )
+    ratios = [a / b for a, b in zip(armed_times, bare_times)]
+    median_ratio = float(np.median(ratios))
 
     # Identity before any timing claim: arming the kernel's policy path
     # must not change a single record.
@@ -124,11 +129,16 @@ def _case_kernel_overhead():
     )
 
     return {
-        "baseline_seconds": round(bare_s, 4),
-        "engine_seconds": round(armed_s, 4),
-        "speedup": round(bare_s / armed_s, 3),
+        "baseline_seconds": round(min(bare_times), 4),
+        "engine_seconds": round(min(armed_times), 4),
+        "speedup": round(1.0 / median_ratio, 3),
         "metrics": {
-            "overhead_fraction": round(armed_s / bare_s - 1.0, 4),
+            "overhead_fraction": round(median_ratio - 1.0, 4),
+            "pairs": [
+                {"bare_seconds": round(b, 4), "armed_seconds": round(a, 4),
+                 "overhead_fraction": round(a / b - 1.0, 4)}
+                for b, a in zip(bare_times, armed_times)
+            ],
             "epochs": sum(
                 1 for e in bare.events
                 if type(e).__name__ == "SchedulingPass"
@@ -243,9 +253,9 @@ def policy_gate_failures(sweep: dict) -> list[str]:
 
 def run_control_bench() -> dict:
     return {
-        "schema": 1,
+        "schema": 2,
         "suite": "control-kernel",
-        "repeats": REPEATS,
+        "overhead_pairs": OVERHEAD_PAIRS,
         "target_overhead_ceiling": OVERHEAD_CEILING,
         "versions": bench_versions(),
         "cases": {
@@ -264,7 +274,7 @@ def _as_table(document: dict) -> Table:
     )
     table.add_row([
         "kernel_overhead",
-        "overhead",
+        f"median overhead ({OVERHEAD_PAIRS} pairs)",
         f"{100 * overhead['metrics']['overhead_fraction']:+.2f}%",
         f"<= {100 * OVERHEAD_CEILING:.0f}%",
     ])
@@ -296,9 +306,9 @@ def test_control_gates(report):
     frac = overhead["metrics"]["overhead_fraction"]
     assert frac <= OVERHEAD_CEILING, (
         f"kernel overhead {100 * frac:.2f}% exceeds the "
-        f"{100 * OVERHEAD_CEILING:.0f}% ceiling "
-        f"(bare {overhead['baseline_seconds']}s vs armed "
-        f"{overhead['engine_seconds']}s)"
+        f"{100 * OVERHEAD_CEILING:.0f}% ceiling in the median of "
+        f"{OVERHEAD_PAIRS} bare/armed pairs "
+        f"({overhead['metrics']['pairs']})"
     )
 
     failures = policy_gate_failures(document["cases"]["policy_sweep_vs_fixed"])

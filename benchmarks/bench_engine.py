@@ -1,11 +1,12 @@
 """ENG — layered model engine vs from-scratch builds, with a JSON trail.
 
 The engine (``docs/architecture.md``) promises that reuse across
-related solves — cached paths, per-job layout fragments, memoized LP
-solutions keyed on the *discretized* instance, delta-patched structures
-and carried cross-epoch plans — makes the RET binary-search probe loop
-and the periodic controller measurably faster while changing nothing
-about the answers.  This benchmark pins both halves of that claim:
+related solves — cached paths, per-job layout fragments, exact-hit and
+cloned structures, memoized LP solutions keyed on the *discretized*
+instance and carried cross-epoch plans — makes the RET binary-search
+probe loop and the periodic controller measurably faster while
+changing nothing about the answers.  This benchmark pins both halves
+of that claim:
 
 * **RET probe loop** — an overloaded calibrated workload forces a full
   bisection on ``b``; the warm engine must be at least
@@ -14,14 +15,18 @@ about the answers.  This benchmark pins both halves of that claim:
 * **Multi-epoch simulate (Abilene)** — the controller re-plans a
   book-ahead reservation workload every epoch.  Warm must be at least
   ``SIM_SPEEDUP_FLOOR``× faster, every epoch after the first must
-  reuse structure (exact cache hit or delta patch — never a cold
-  build), and the runs must serialize identically.
+  certify RET's bounds from the carried plan (``ret_witness_hits``),
+  and the runs must serialize identically.
 * **Multi-epoch simulate (100-node Waxman)** — the same controller
   loop at research-backbone scale, gating that cross-epoch reuse
   survives a network an order of magnitude larger than Abilene.
 
-Results (best-of-``REPEATS`` wall times, speedups, verified-equal
-metrics and the engine's cache counters) are written to
+Warm and cold runs alternate in one process, ``PAIRS`` of each, and a
+case's speedup is the median of its per-pair ``cold / warm`` ratios:
+timed as two separate blocks, the RET speedup of one tree read anywhere
+from 1.61 to 2.62 on a shared 2-vCPU host.  Results (per-pair speedups,
+best wall times, verified-equal metrics and the engine's cache counters
+from one instrumented warm run) are written to
 ``BENCH_engine.json`` at the repo root, which CI diffs against the
 committed baseline (``benchmarks/check_regression.py``) and uploads as
 an artifact.  Runs under pytest (the CI gate) or as a plain script::
@@ -46,22 +51,22 @@ from _support import (
     bench_versions,
     booked_ahead,
     calibrated_jobs,
-    time_best_of,
+    time_pairs,
     write_bench_document,
 )
 
 SEED = 1009
-REPEATS = 3
+#: Warm/cold pairs timed per case; odd, so the median is one pair's.
+PAIRS = 7
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
-#: Acceptance floor for the RET probe-loop case (ISSUE 5 target).
+#: Acceptance floor for the RET probe-loop case.
 RET_SPEEDUP_FLOOR = 1.5
-#: Acceptance floor for the Abilene multi-epoch simulate case (ISSUE 6
-#: target): with delta-patched structures and carried warm starts the
-#: controller loop must be at least twice as fast warm as cold.  This
-#: replaces the old "not slower than baseline plus noise" slack gate —
-#: a regression back to rebuild-everything now fails CI instead of
-#: hiding inside the tolerance.
+#: Acceptance floor for the Abilene multi-epoch simulate case: with
+#: cached structures, the solve memo and carried plans the controller
+#: loop must be at least twice as fast warm as cold, so a regression
+#: back to rebuild-and-resolve-everything fails CI instead of hiding
+#: inside a tolerance.
 SIM_SPEEDUP_FLOOR = 2.0
 #: The Waxman scale case gates more conservatively: the network is an
 #: order of magnitude larger, so path resolution and LP solves dominate
@@ -84,7 +89,7 @@ SIM_NUM_JOBS = 10
 #: transfers, and it is exactly the regime that exposed the cross-epoch
 #: cache miss: every pre-window epoch re-plans a near-identical residual,
 #: so a warm engine should answer from carried state (witness-certified
-#: RET bounds, memoized zero probes, patched scheduler structures) while
+#: RET bounds, memoized zero probes, cached or cloned structures) while
 #: a cold one rebuilds and re-solves the same LPs from scratch.
 SIM_BOOKAHEAD_SLICES = 12
 SIM_CONFIG = WorkloadConfig(
@@ -107,7 +112,7 @@ WAXMAN_CONFIG = WorkloadConfig(
 )
 
 #: Counters surfaced per epoch by the simulator's ``epoch_cache_stats``
-#: telemetry records; the bench asserts on the first two.
+#: telemetry records; the bench gates on ``ret_witness_hits``.
 _EPOCH_COUNTERS = (
     "structure_cache_hits",
     "structure_patch_hits",
@@ -139,14 +144,22 @@ def _waxman_instance():
     return network, jobs
 
 
-def _time_best_of(fn, repeats=REPEATS):
-    return time_best_of(fn, repeats=repeats)
+def _timed_pairs(cold_fn, warm_fn):
+    """``(timing fields, cold result, warm result)`` over ``PAIRS`` pairs."""
+    cold_times, warm_times, cold, warm = time_pairs(cold_fn, warm_fn, PAIRS)
+    ratios = [c / w for c, w in zip(cold_times, warm_times)]
+    fields = {
+        "engine_seconds": round(min(warm_times), 4),
+        "baseline_seconds": round(min(cold_times), 4),
+        "speedup": round(float(np.median(ratios)), 3),
+        "pair_speedups": [round(r, 3) for r in ratios],
+    }
+    return fields, cold, warm
 
 
 def _case_ret_probe_loop():
     """Warm vs cold RET bisection on overloaded Abilene."""
     network, jobs = _ret_instance()
-    telemetry = Telemetry()
 
     def run(warm_start, collector=NULL_TELEMETRY):
         with collector:
@@ -159,8 +172,7 @@ def _case_ret_probe_loop():
                 warm_start=warm_start,
             )
 
-    cold_s, cold = _time_best_of(lambda: run(False))
-    warm_s, warm = _time_best_of(lambda: run(True, telemetry))
+    timing, cold, warm = _timed_pairs(lambda: run(False), lambda: run(True))
 
     # Verify-identical outputs before any timing claim.
     assert warm.b_hat == pytest.approx(cold.b_hat)
@@ -170,11 +182,11 @@ def _case_ret_probe_loop():
         warm.assignments.x_lpdar, cold.assignments.x_lpdar
     )
 
+    telemetry = Telemetry()
+    run(True, telemetry)
     counters = telemetry.counters
     return {
-        "engine_seconds": round(warm_s, 4),
-        "baseline_seconds": round(cold_s, 4),
-        "speedup": round(cold_s / warm_s, 3),
+        **timing,
         "metrics": {
             "b_hat": round(float(warm.b_hat), 9),
             "b_final": round(float(warm.b_final), 9),
@@ -182,6 +194,10 @@ def _case_ret_probe_loop():
             "ret_probes": int(counters.get("ret_probes", 0)),
             "memo_hits": int(counters.get("memo_hits", 0)),
             "engine_solves": int(counters.get("engine_solves", 0)),
+            "structure_patch_hits": int(
+                counters.get("structure_patch_hits", 0)
+            ),
+            "cold_builds": int(counters.get("cold_builds", 0)),
             "layout_fragment_hits": int(
                 counters.get("layout_fragment_hits", 0)
             ),
@@ -197,11 +213,9 @@ def _simulate_case(network, jobs):
     and the per-epoch ``epoch_cache_stats`` evidence — a fresh run,
     because repeating a timed one would duplicate its epoch records.
     """
-    cold_s, cold = _time_best_of(
-        lambda: Simulation(network, policy="extend", warm_start=False).run(jobs)
-    )
-    warm_s, warm = _time_best_of(
-        lambda: Simulation(network, policy="extend", warm_start=True).run(jobs)
+    timing, cold, warm = _timed_pairs(
+        lambda: Simulation(network, policy="extend", warm_start=False).run(jobs),
+        lambda: Simulation(network, policy="extend", warm_start=True).run(jobs),
     )
 
     # Job lifecycles must match exactly (events also carry wall-clock
@@ -220,23 +234,18 @@ def _simulate_case(network, jobs):
         | {"epoch": int(rec["epoch"])}
         for rec in telemetry.records_of("epoch_cache_stats")
     ]
-    # Structural evidence the speedup rests on: the run must actually
-    # patch (not just exact-hit), and no epoch after the first may fall
-    # back to an all-cold rebuild.
-    assert any(e["structure_patch_hits"] > 0 for e in per_epoch), (
-        "no structure was delta-patched; the warm path degenerated"
-    )
+    # Structural evidence the speedup rests on: every epoch after the
+    # first certifies RET's bounds from the plan the previous epoch
+    # committed, instead of solving the b_max probe.
     for entry in per_epoch[1:]:
-        reused = entry["structure_cache_hits"] + entry["structure_patch_hits"]
-        assert reused > 0, (
-            f"epoch {entry['epoch']} reused no structure: {entry}"
+        assert entry["ret_witness_hits"] > 0, (
+            f"epoch {entry['epoch']} certified no RET bound from the "
+            f"carried plan: {entry}"
         )
 
     counters = telemetry.counters
     return {
-        "engine_seconds": round(warm_s, 4),
-        "baseline_seconds": round(cold_s, 4),
-        "speedup": round(cold_s / warm_s, 3),
+        **timing,
         "metrics": {
             "completion_rate": round(float(warm.completion_rate), 9),
             "delivered_volume": round(float(warm.delivered_volume), 9),
@@ -275,9 +284,9 @@ def _case_simulate_waxman():
 def run_engine_bench() -> dict:
     """Run all cases and return the ``BENCH_engine.json`` document."""
     return {
-        "schema": 2,
+        "schema": 3,
         "suite": "engine-speedup",
-        "repeats": REPEATS,
+        "pairs": PAIRS,
         "target_ret_speedup": RET_SPEEDUP_FLOOR,
         "target_sim_speedup": SIM_SPEEDUP_FLOOR,
         "target_waxman_speedup": WAXMAN_SPEEDUP_FLOOR,

@@ -53,7 +53,6 @@ from .control import (
     POLICY_NAMES,
     PolicyComparison,
     PolicyRunResult,
-    SchedulingEnv,
     compare_policies,
     make_policy,
 )
@@ -339,7 +338,6 @@ __all__ = [
     "LoadReactivePathsPolicy",
     "POLICY_NAMES",
     "make_policy",
-    "SchedulingEnv",
     "PolicyRunResult",
     "PolicyComparison",
     "compare_policies",

@@ -16,8 +16,6 @@ Layers, bottom up:
 * :mod:`~repro.control.policies` — the :class:`ControlPolicy` protocol
   and the non-learned baselines (:class:`FixedPolicy`,
   :class:`AlphaBanditPolicy`, :class:`LoadReactivePathsPolicy`).
-* :mod:`~repro.control.env` — :class:`SchedulingEnv`, the gym-style
-  reset/step wrapper over the simulator's paused controller generator.
 * :mod:`~repro.control.harness` — :func:`compare_policies`, the
   checker-clean policy sweep behind ``repro policy compare``.
 """
@@ -41,7 +39,6 @@ from .policies import (
     LoadReactivePathsPolicy,
     make_policy,
 )
-from .env import SchedulingEnv
 from .harness import PolicyComparison, PolicyRunResult, compare_policies
 
 __all__ = [
@@ -60,7 +57,6 @@ __all__ = [
     "LoadReactivePathsPolicy",
     "POLICY_NAMES",
     "make_policy",
-    "SchedulingEnv",
     "PolicyRunResult",
     "PolicyComparison",
     "compare_policies",

@@ -217,8 +217,7 @@ class EpochOutcome:
     epoch:
         The epoch the outcome belongs to.
     delivered:
-        Volume delivered during the epoch (the step reward the
-        gym-style environment exposes).
+        Volume delivered during the epoch.
     completed:
         Jobs that finished during the epoch.
     expired:

@@ -105,8 +105,9 @@ def _admission_engine(
     """Validate a caller-shared engine, or mint a local one.
 
     A shared engine (the simulator passes its per-run instance) lets the
-    prefix search's structures patch from — and donate back to — the
-    run's epoch structures instead of starting from an empty cache.
+    prefix search reuse the run's cached paths, structures and fragments,
+    and the solve memo, instead of starting from empty caches: a prefix
+    probe the run has already built is an exact hit or a clone.
     """
     if engine is None:
         return ModelEngine(network, k_paths)

@@ -15,9 +15,9 @@ from .backend import (
     get_backend,
     register_backend,
 )
-from .delta import CarriedPlan, patch_structure
+from .delta import CarriedPlan
 from .engine import ModelEngine, build_structure
-from .layout import FragmentCache, LayoutLayer
+from .layout import FragmentCache, LayoutLayer, patch_structure
 from .topology import TopologyLayer
 
 __all__ = [

@@ -1,35 +1,43 @@
 """Layout layer: reusing column layouts and constraint blocks across builds.
 
 A :class:`~repro.lp.model.ProblemStructure` is a pure function of
-``(network, jobs, grid, k_paths, path_sets, capacity_profile)``.  The
-layout layer exploits that purity at two granularities:
+``(network, jobs, grid, k_paths, path_sets, capacity_profile)``.  A
+request for one takes one of three tiers:
 
-* **Whole-structure cache** — an LRU keyed on the exact signature (raw
-  job windows included).  Repeat requests for the same instance — the
+* **Exact hit** — an LRU keyed on the exact signature (raw job windows
+  and sizes included).  Repeat requests for the same instance — the
   admission prefix search re-evaluating its final prefix, a journal
   replay re-solving a committed epoch, the scheduler re-scheduling an
-  unchanged residual — get the *same object* back, skipping assembly
-  entirely.  Each built structure additionally carries a *discretized*
-  signature (``_engine_key``, raw window endpoints replaced by integer
-  slice windows) that the solve layer memoizes solutions under: RET
-  bisection probes whose ``b`` values differ below slice granularity
-  rebuild the (fragment-reusing) structure but share one LP solution.
-* **Per-job fragment cache** — the capacity block's sparsity pattern for
-  one job depends only on its paths' edge ids and its window span, not
-  on where the window sits or where its columns start (see
-  :func:`repro.lp.model.job_capacity_fragment`).  Structures that miss
-  the exact cache (a new grid, a shifted window) still reuse every
-  unchanged per-job segment instead of re-broadcasting it.
+  unchanged residual — get the *same object* back.
+* **Clone** — a miss whose *layout* matches a cached structure: the
+  same job ids and endpoints in the same order, the same integer slice
+  windows, grid, ``k_paths`` and routes, and no capacity profile.  Only
+  the demands (an rhs) differ, so :func:`patch_structure` shares the
+  donor's column arrays and matrices outright.  A simulator epoch that
+  only shrinks residual sizes, and RET probes that re-solve one layout
+  for different demands, land here.
+* **Cold build** — everything else.  The build still reuses per-job
+  capacity fragments: the capacity block's sparsity pattern for one job
+  depends only on its paths' edge ids and its window span, not on where
+  the window sits or where its columns start (see
+  :func:`repro.lp.model.job_capacity_fragment`).
 
-Cache invalidation is by construction: *every* input participates in the
-key — per-job ``(id, endpoints, size, window, arrival, weight)`` tuples,
-the grid's boundary array, ``k_paths``, the resolved paths' edge ids and
-the capacity profile's matrix bytes — so changing any of them can only
-miss, never serve a stale layout.
+Every built structure carries a *discretized* signature
+(``_engine_key``: the layout key plus per-job sizes, arrivals and
+weights) that the solve layer memoizes solutions under: RET bisection
+probes whose ``b`` values differ below slice granularity get distinct
+structures but share one LP solution.
+
+Cache invalidation is by construction: *every* input participates in
+the exact key — per-job ``(id, endpoints, size, window, arrival,
+weight)`` tuples, the grid's boundary array, ``k_paths``, the resolved
+paths' edge ids and the capacity profile's matrix bytes — so changing
+any of them can only miss, never serve a stale layout.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from collections.abc import Hashable, Mapping, Sequence
 
@@ -39,18 +47,11 @@ from ..network.paths import Path
 from ..obs import current
 from ..timegrid import TimeGrid
 from ..workload.jobs import JobSet
-from .delta import patch_structure
 from .topology import TopologyLayer
 
-__all__ = ["LayoutLayer", "FragmentCache"]
+__all__ = ["LayoutLayer", "FragmentCache", "patch_structure"]
 
 Node = Hashable
-
-#: How many most-recent cached structures a near-miss tries as donors.
-#: A simulator epoch leaves at most a handful of live structures (RET
-#: probes plus the scheduling grid), so the previous epoch's donors are
-#: always within this window.
-MAX_PATCH_DONORS = 6
 
 
 class FragmentCache(OrderedDict):
@@ -61,6 +62,8 @@ class FragmentCache(OrderedDict):
     epoch — unbounded growth contradicts the million-job north star the
     same way the old unbounded solution memo did.  ``get`` refreshes
     recency; inserting past ``max_entries`` evicts the stalest entry.
+    :class:`LayoutLayer` bounds its structure cache and layout index
+    with the same class.
     """
 
     def __init__(self, max_entries: int) -> None:
@@ -96,18 +99,16 @@ def _jobs_key(jobs: JobSet) -> tuple:
 def _jobs_layout_key(jobs: JobSet, grid: TimeGrid) -> tuple:
     """What the *discretized* layout can observe about the jobs.
 
-    Raw window endpoints are replaced by their integer slice windows on
-    ``grid``: two job sets whose endpoints differ below slice
-    granularity (RET bisection probes, above all) produce bit-identical
-    LPs, and this key is how the solve layer knows it.
+    Ids, endpoints and integer slice windows on ``grid``: raw window
+    endpoints that differ below slice granularity (RET bisection probes,
+    above all) give the same columns and matrices.  Sizes, arrivals and
+    weights are left out; they change the LP's rhs and objective, not
+    its layout.
     """
     out = []
     for j in jobs:
         window = grid.window_slices(j.start, j.end)
-        out.append(
-            (j.id, j.source, j.dest, j.size, window.start, window.stop,
-             j.arrival, j.weight)
-        )
+        out.append((j.id, j.source, j.dest, window.start, window.stop))
     return tuple(out)
 
 
@@ -131,8 +132,35 @@ def _profile_key(profile) -> tuple | None:
     return (profile.grid, profile.matrix.tobytes())
 
 
+def patch_structure(donor: ProblemStructure, jobs: JobSet) -> ProblemStructure:
+    """A structure for ``jobs`` that shares ``donor``'s layout.
+
+    The caller has matched the layout key: the same job ids and
+    endpoints in the same order, the same slice windows, grid,
+    ``k_paths`` and routes, and no capacity profile.  Only the demands
+    differ, so every column array and constraint matrix of the donor
+    applies verbatim, as does its rhs-independent ``capacity_floor``
+    assembly block (and its ``stage1`` block when the demands are equal
+    too, since that one embeds ``-demands``).
+    """
+    out = copy.copy(donor)
+    out.jobs = jobs
+    out.demands = jobs.sizes() / donor.network.wavelength_rate
+    out.demands.setflags(write=False)
+    donor_cache = donor._assembly_cache
+    out._assembly_cache = {}
+    floor = donor_cache.get("capacity_floor")
+    if floor is not None:
+        out._assembly_cache["capacity_floor"] = floor
+    stage1 = donor_cache.get("stage1")
+    if stage1 is not None and (out.demands == donor.demands).all():
+        out._assembly_cache["stage1"] = stage1
+    current().record("structure_patched", jobs=len(jobs), num_cols=out.num_cols)
+    return out
+
+
 class LayoutLayer:
-    """Structure builder with exact-signature and per-job-fragment reuse.
+    """Structure builder: exact hit, layout clone or cold build.
 
     Parameters
     ----------
@@ -140,22 +168,21 @@ class LayoutLayer:
         The :class:`~repro.engine.topology.TopologyLayer` below; supplies
         the network, ``k_paths`` and cached path resolution.
     warm_start:
-        Enables both reuse levels: the exact-signature structure cache
-        and the per-job fragment cache.  Structure caching also enables
-        delta *patching*: an exact-cache miss tries the most recent
-        cached structures as donors
-        (:func:`repro.engine.delta.patch_structure`) before paying a
-        cold build.  Off, every structure is built from scratch (the
-        baseline ``ModelEngine(warm_start=False)`` selects).
+        Enables reuse: the exact-signature structure cache, the layout
+        index a miss clones from (:func:`patch_structure`) and the
+        per-job fragment cache cold builds draw on.  Off, every
+        structure is built from scratch (the baseline
+        ``ModelEngine(warm_start=False)`` selects).
     max_structures:
-        LRU bound on retained structures (matrices are the bulk of an
-        instance's memory; old epochs must not accumulate forever).
+        LRU bound on retained structures, and separately on the layout
+        index (matrices are the bulk of an instance's memory; old
+        epochs must not accumulate forever).
     max_fragments:
         LRU bound on retained per-job fragments (see
         :class:`FragmentCache`).
 
     Telemetry counters: exact hits count as ``structure_cache_hits``,
-    patches as ``structure_patch_hits``, real builds as ``cold_builds``
+    clones as ``structure_patch_hits``, real builds as ``cold_builds``
     (fragment-level reuse counts inside
     :class:`~repro.lp.model.ProblemStructure` as ``layout_fragment_hits``
     / ``layout_fragment_builds``).
@@ -176,7 +203,8 @@ class LayoutLayer:
         self.warm_start = bool(warm_start)
         self.max_structures = int(max_structures)
         self.max_fragments = int(max_fragments)
-        self._structures: OrderedDict[tuple, ProblemStructure] = OrderedDict()
+        self._structures = FragmentCache(self.max_structures)
+        self._layouts = FragmentCache(self.max_structures)
         self._fragments: FragmentCache | None = (
             FragmentCache(max_fragments) if self.warm_start else None
         )
@@ -204,7 +232,9 @@ class LayoutLayer:
             path_sets = self.topology.path_sets(
                 jobs.od_pairs(), banned_edges=banned_edges
             )
-        key = None
+        if not self.warm_start:
+            current().count("cold_builds")
+            return self._cold(jobs, grid, path_sets, capacity_profile)
         shared = (
             grid,
             self.topology.k_paths,
@@ -212,76 +242,54 @@ class LayoutLayer:
             _profile_key(capacity_profile),
         )
         telemetry = current()
-        if self.warm_start:
-            # Exact key: the structure object (which carries the raw
-            # jobs) is reused only for a byte-for-byte identical request.
-            key = (_jobs_key(jobs), *shared)
-            hit = self._structures.get(key)
-            if hit is not None:
-                self._structures.move_to_end(key)
-                telemetry.count("structure_cache_hits")
-                return hit
-        built = None
-        if key is not None and capacity_profile is None:
-            built = self._try_patch(jobs, grid, path_sets)
-        if built is not None:
+        # Exact key: the structure object (which carries the raw jobs)
+        # is reused only for a byte-for-byte identical request.
+        key = (_jobs_key(jobs), *shared)
+        hit = self._structures.get(key)
+        if hit is not None:
+            telemetry.count("structure_cache_hits")
+            return hit
+        layout = (_jobs_layout_key(jobs, grid), *shared)
+        donor = self._layouts.get(layout) if capacity_profile is None else None
+        if donor is not None:
+            built = patch_structure(donor, jobs)
             telemetry.count("structure_patch_hits")
         else:
-            built = ProblemStructure(
-                self.network,
-                jobs,
-                grid,
-                self.topology.k_paths,
-                path_sets=path_sets,
-                capacity_profile=capacity_profile,
-                fragment_cache=self._fragments,
-            )
+            built = self._cold(jobs, grid, path_sets, capacity_profile)
             telemetry.count("cold_builds")
-        if key is not None:
-            # Solve-memo key: discretized windows instead of raw floats,
-            # so probes that only differ below slice granularity share
-            # their (provably identical) LP solutions.
-            built._engine_key = (_jobs_layout_key(jobs, grid), *shared)
-            self._structures[key] = built
-            while len(self._structures) > self.max_structures:
-                self._structures.popitem(last=False)
+        # Solve-memo key: the layout plus what changes the LP's rhs and
+        # objective, so probes that only differ below slice granularity
+        # share their (provably identical) LP solutions.
+        built._engine_key = (
+            layout,
+            tuple((j.size, j.arrival, j.weight) for j in jobs),
+        )
+        self._structures[key] = built
+        if capacity_profile is None:
+            self._layouts[layout] = built
         return built
 
-    def _try_patch(
+    def _cold(
         self,
         jobs: JobSet,
         grid: TimeGrid,
         path_sets: Mapping[tuple[Node, Node], Sequence[Path]],
-    ) -> ProblemStructure | None:
-        """Near-miss path: patch from the freshest compatible donor.
-
-        Tries the :data:`MAX_PATCH_DONORS` most recently used cached
-        structures; the first donor the patcher accepts wins.  ``None``
-        sends the caller to the cold build (and its validation errors).
-        """
-        if not self._structures:
-            return None
-        tried = 0
-        with current().span("structure_patch"):
-            for donor in reversed(self._structures.values()):
-                patched = patch_structure(
-                    donor,
-                    jobs,
-                    grid,
-                    self.topology.k_paths,
-                    path_sets,
-                    fragment_cache=self._fragments,
-                )
-                if patched is not None:
-                    return patched
-                tried += 1
-                if tried >= MAX_PATCH_DONORS:
-                    return None
-        return None
+        capacity_profile,
+    ) -> ProblemStructure:
+        return ProblemStructure(
+            self.network,
+            jobs,
+            grid,
+            self.topology.k_paths,
+            path_sets=path_sets,
+            capacity_profile=capacity_profile,
+            fragment_cache=self._fragments,
+        )
 
     def clear(self) -> None:
         """Drop every cached structure and fragment."""
         self._structures.clear()
+        self._layouts.clear()
         if self._fragments is not None:
             self._fragments.clear()
 
@@ -291,3 +299,4 @@ class LayoutLayer:
             f"LayoutLayer(structures={len(self._structures)}, "
             f"fragments={frags})"
         )
+

@@ -299,11 +299,6 @@ class ProblemStructure:
                 edge * num_slices + (int(self.first_slice[i]) + rel_slice)
             )
             col_parts.append(int(self.job_offset[i]) + rel_col)
-        # Absolute per-job segments, kept for delta patching: a donor
-        # job whose window, routes and column offset all line up lends
-        # its segment verbatim to the patched build
-        # (:func:`repro.engine.delta.patch_structure`).
-        self._cap_segments = list(zip(row_keys_parts, col_parts))
         row_keys = np.concatenate(row_keys_parts)
         cols = np.concatenate(col_parts)
 
@@ -327,11 +322,20 @@ class ProblemStructure:
         self.cap_rhs.setflags(write=False)
 
     def _build_demand_block(self) -> None:
-        """Rows of constraints (2)/(8)/(15): per-job ``sum x * LEN``."""
-        self.demand_matrix = sp.coo_matrix(
-            (self.col_len, (self.col_job, np.arange(self.num_cols))),
+        """Rows of constraints (2)/(8)/(15): per-job ``sum x * LEN``.
+
+        The CSR form is known in closed form: columns are job-major, so
+        ``indptr`` *is* ``job_offset`` and the indices run
+        ``0..num_cols-1``.
+        """
+        self.demand_matrix = sp.csr_matrix(
+            (
+                self.col_len.copy(),
+                np.arange(self.num_cols, dtype=np.int64),
+                self.job_offset.copy(),
+            ),
             shape=(len(self.jobs), self.num_cols),
-        ).tocsr()
+        )
 
     # ------------------------------------------------------------------
     # Column arithmetic

@@ -435,9 +435,7 @@ class Simulation:
         knobs, or ``None`` to let the kernel's policy decide) and
         ``("outcome", EpochOutcome)`` after each committed epoch; its
         ``StopIteration.value`` is the :class:`SimulationResult`.
-        :meth:`run` drives it start to finish sending ``None``;
-        :class:`~repro.control.SchedulingEnv` exposes the same pauses
-        as a gym-style ``reset``/``step`` interface.
+        :meth:`run` drives it start to finish sending ``None``.
         """
         if len(jobs) == 0:
             raise ValidationError("cannot simulate an empty job set")

@@ -5,14 +5,13 @@ Covers the kernel primitives (`window_closed`, the fault cursor,
 `_expire_stale` semantics of each caller (the satellite task: the sim
 expires against the RET-extended *effective* deadline with a final
 sweep; the service against the *committed* end, no sweep), the three
-baseline policies, the gym-style :class:`SchedulingEnv`, and the
-checker-clean comparison harness behind ``repro policy compare``.
+baseline policies, the simulator's paused controller generator, and
+the checker-clean comparison harness behind ``repro policy compare``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import replace
 
 import pytest
@@ -28,7 +27,6 @@ from repro.control import (
     FixedPolicy,
     LoadReactivePathsPolicy,
     POLICY_NAMES,
-    SchedulingEnv,
     base_action_for,
     compare_policies,
     make_policy,
@@ -363,88 +361,47 @@ class TestJournalSafetyGate:
                                control_policy=LoadReactivePathsPolicy())
 
 
-class TestSchedulingEnv:
+class TestSimulationController:
+    """The paused generator behind :meth:`Simulation.run`: actions sent
+    at each ``"decide"`` pause override the epoch's knobs."""
+
     @pytest.fixture
     def scenario(self):
         return make_scenario(2)
 
-    def test_episode_with_none_actions_matches_plain_run(self, scenario):
-        env = SchedulingEnv(scenario.network, scenario.jobs,
-                            horizon=scenario.grid.end * 3.0, k_paths=3,
-                            fault_schedule=scenario.fault_schedule)
-        obs = env.reset()
-        while obs is not None:
-            obs, _reward, _done, _info = env.step(None)
-        assert env.done
-        plain = Simulation(
-            scenario.network, k_paths=3,
-            fault_schedule=scenario.fault_schedule,
-        ).run(scenario.jobs, horizon=scenario.grid.end * 3.0)
-        assert ([r.status for r in env.result.records]
-                == [r.status for r in plain.records])
-        assert env.result.delivered_volume == pytest.approx(
-            plain.delivered_volume)
-
-    def test_rewards_sum_to_delivered_plus_deadline_bonus(self, scenario):
-        env = SchedulingEnv(scenario.network, scenario.jobs,
-                            horizon=scenario.grid.end * 3.0, k_paths=3,
-                            deadline_weight=2.0)
-        obs = env.reset()
-        total = 0.0
-        while obs is not None:
-            obs, reward, _done, _info = env.step(None)
-            total += reward
-        expected = env.result.delivered_volume
-        if not math.isnan(env.result.deadline_rate):
-            expected += 2.0 * env.result.deadline_rate
-        assert total == pytest.approx(expected)
+    def _steps(self, scenario):
+        sim = Simulation(scenario.network, k_paths=3)
+        return sim.controller(scenario.jobs,
+                              horizon=scenario.grid.end * 3.0)
 
     def test_explicit_actions_flow_through(self, scenario):
-        env = SchedulingEnv(scenario.network, scenario.jobs,
-                            horizon=scenario.grid.end * 3.0, k_paths=3)
-        obs = env.reset()
-        saw_decision = obs is not None
-        while obs is not None:
-            action = replace(env.base_action, alpha=0.2)
-            obs, _r, _d, info = env.step(action)
-            assert isinstance(info["outcome"], EpochOutcome)
-        assert saw_decision
-        assert env.result is not None
+        kernel, steps = self._steps(scenario)
+        kinds = []
+        try:
+            kind, payload = next(steps)
+            while True:
+                kinds.append(kind)
+                if kind == "outcome":
+                    assert isinstance(payload, EpochOutcome)
+                # The base action, sent explicitly, is what the kernel
+                # decides on its own.
+                kind, payload = steps.send(
+                    kernel.base_action if kind == "decide" else None)
+        except StopIteration as stop:
+            result = stop.value
+        assert "decide" in kinds and "outcome" in kinds
+        plain = Simulation(scenario.network, k_paths=3).run(
+            scenario.jobs, horizon=scenario.grid.end * 3.0)
+        assert ([r.status for r in result.records]
+                == [r.status for r in plain.records])
+        assert result.delivered_volume == plain.delivered_volume
 
     def test_invalid_action_raises(self, scenario):
-        env = SchedulingEnv(scenario.network, scenario.jobs,
-                            horizon=scenario.grid.end * 3.0, k_paths=3)
-        obs = env.reset()
-        if obs is None:
-            pytest.skip("scenario schedules nothing")
+        kernel, steps = self._steps(scenario)
+        kind, _payload = next(steps)
+        assert kind == "decide"
         with pytest.raises(ValidationError):
-            env.step(replace(env.base_action, alpha=-1.0))
-
-    def test_step_after_done_raises(self, scenario):
-        env = SchedulingEnv(scenario.network, scenario.jobs,
-                            horizon=scenario.grid.end * 3.0, k_paths=3)
-        obs = env.reset()
-        while obs is not None:
-            obs, *_ = env.step(None)
-        with pytest.raises(ValidationError):
-            env.step(None)
-
-    def test_reset_restarts_identically(self, scenario):
-        env = SchedulingEnv(scenario.network, scenario.jobs,
-                            horizon=scenario.grid.end * 3.0, k_paths=3)
-        env.reset()
-        while not env.done:
-            env.step(None)
-        first = env.result.delivered_volume
-        env.reset()
-        while not env.done:
-            env.step(None)
-        assert env.result.delivered_volume == pytest.approx(first)
-
-    def test_rejects_control_policy_kwarg(self, scenario):
-        with pytest.raises(ValidationError, match="policy"):
-            SchedulingEnv(scenario.network, scenario.jobs,
-                          control_policy=FixedPolicy())
+            steps.send(replace(kernel.base_action, alpha=-1.0))
 
 
 class TestCompareHarness:

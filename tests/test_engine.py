@@ -499,7 +499,13 @@ class TestFrontEndWiring:
 
 
 class TestDeltaPatching:
-    """Near-miss structure patching (repro.engine.delta.patch_structure)."""
+    """Misses of the exact cache: a layout clone or a cold build.
+
+    A clone (:func:`repro.engine.layout.patch_structure`) serves a miss
+    whose layout — job ids and endpoints, slice windows, grid,
+    ``k_paths``, routes — matches a cached structure; any other miss is
+    a cold :class:`ProblemStructure` build.
+    """
 
     def _cold(self, engine, jobs, grid, path_sets=None):
         if path_sets is None:
@@ -511,6 +517,7 @@ class TestDeltaPatching:
     def test_shifted_windows_patch_bit_identical(
         self, network, jobs, telemetry
     ):
+        """Shifted windows change the layout: a cold build, no clone."""
         engine = ModelEngine(network, k_paths=2)
         engine.structure(jobs, TimeGrid.covering(jobs.max_end()))
         shifted = JobSet(
@@ -522,16 +529,17 @@ class TestDeltaPatching:
             ]
         )
         grid = TimeGrid.covering(shifted.max_end())
-        patched = engine.structure(shifted, grid)
-        assert telemetry.counters["structure_patch_hits"] == 1
-        assert telemetry.counters["cold_builds"] == 1
+        built = engine.structure(shifted, grid)
+        assert telemetry.counters.get("structure_patch_hits", 0) == 0
+        assert telemetry.counters["cold_builds"] == 2
         assert _structures_bit_identical(
-            patched, self._cold(engine, shifted, grid)
+            built, self._cold(engine, shifted, grid)
         )
 
     def test_departed_and_new_jobs_patch_bit_identical(
         self, network, jobs, telemetry
     ):
+        """A changed job set is a cold build that reuses fragments."""
         engine = ModelEngine(network, k_paths=2)
         engine.structure(jobs, TimeGrid.covering(jobs.max_end()))
         nodes = network.nodes
@@ -544,11 +552,21 @@ class TestDeltaPatching:
             ]
         )
         grid = TimeGrid.covering(changed.max_end())
-        patched = engine.structure(changed, grid)
-        assert telemetry.counters["structure_patch_hits"] == 1
-        assert _structures_bit_identical(
-            patched, self._cold(engine, changed, grid)
-        )
+        built = engine.structure(changed, grid)
+        assert telemetry.counters.get("structure_patch_hits", 0) == 0
+        assert telemetry.counters["cold_builds"] == 2
+        built_demand = built.demand_matrix
+        cold = self._cold(engine, changed, grid)
+        assert _structures_bit_identical(built, cold)
+        # The closed-form demand CSR keeps the COO build's int32 indices.
+        reference = sp.coo_matrix(
+            (cold.col_len, (cold.col_job, np.arange(cold.num_cols))),
+            shape=cold.demand_matrix.shape,
+        ).tocsr()
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(built_demand, name), getattr(reference, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     def test_same_layout_clone_shares_matrices(self, network, jobs, telemetry):
         engine = ModelEngine(network, k_paths=2)
@@ -564,9 +582,71 @@ class TestDeltaPatching:
         assert clone.capacity_matrix is donor.capacity_matrix
         assert clone.demand_matrix is donor.demand_matrix
         assert clone.col_slice is donor.col_slice
+        assert clone.jobs is shrunk
         record = telemetry.records_of("structure_patched")[0]
-        assert record["clone"] is True
+        assert record["num_cols"] == donor.num_cols
         assert _structures_bit_identical(clone, self._cold(engine, shrunk, grid))
+
+    def test_miss_tries_at_most_one_donor(
+        self, network, jobs, telemetry, monkeypatch
+    ):
+        import repro.engine.layout as layout_mod
+
+        calls = []
+        clone = layout_mod.patch_structure
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return clone(*args, **kwargs)
+
+        monkeypatch.setattr(layout_mod, "patch_structure", counting)
+        engine = ModelEngine(network, k_paths=2)
+        for extra in range(8):
+            engine.structure(
+                jobs, TimeGrid.covering(jobs.max_end() + float(extra))
+            )
+        # Windows shifted by half a slice: a layout no cached structure
+        # has, so the miss is one cold build and no donor is tried.
+        shifted = JobSet(
+            [dataclasses.replace(j, start=j.start + 0.5, end=j.end + 0.5)
+             for j in jobs]
+        )
+        engine.structure(shifted, TimeGrid.covering(shifted.max_end()))
+        assert len(calls) == 0
+        assert telemetry.counters["cold_builds"] == 9
+        # A layout-equal miss clones from exactly one donor.
+        engine.structure(
+            JobSet([dataclasses.replace(j, size=1.0) for j in jobs]),
+            TimeGrid.covering(jobs.max_end()),
+        )
+        assert len(calls) == 1
+        assert telemetry.counters["structure_patch_hits"] == 1
+
+    def test_clone_found_after_seven_other_builds(
+        self, network, jobs, telemetry
+    ):
+        engine = ModelEngine(network, k_paths=2)
+        grid = TimeGrid.covering(jobs.max_end())
+        donor = engine.structure(jobs, grid)
+        for extra in range(1, 8):
+            engine.structure(
+                jobs, TimeGrid.covering(jobs.max_end() + float(extra))
+            )
+        shrunk = JobSet(
+            [dataclasses.replace(j, size=j.size * 0.5) for j in jobs]
+        )
+        clone = engine.structure(shrunk, grid)
+        assert telemetry.counters["structure_patch_hits"] == 1
+        assert clone.capacity_matrix is donor.capacity_matrix
+
+    def test_layout_index_respects_bound(self, network, jobs):
+        engine = ModelEngine(network, k_paths=2, max_cached_structures=3)
+        for extra in range(6):
+            engine.structure(
+                jobs, TimeGrid.covering(jobs.max_end() + float(extra))
+            )
+            assert len(engine.layout._layouts) <= 3
+        assert len(engine.layout._layouts) == 3
 
     def test_patch_declines_when_routes_change(self, network, jobs, telemetry):
         engine = ModelEngine(network, k_paths=2)
@@ -599,19 +679,26 @@ class TestDeltaPatching:
         self, network, jobs, telemetry
     ):
         engine = ModelEngine(network, k_paths=2)
-        engine.structure(jobs, TimeGrid.covering(jobs.max_end()))
-        shifted = JobSet(
-            [dataclasses.replace(j, start=j.start + 1.0, end=j.end + 1.0)
-             for j in jobs]
+        grid = TimeGrid.covering(jobs.max_end())
+        donor = engine.structure(jobs, grid)
+        shrunk = JobSet(
+            [dataclasses.replace(j, size=j.size * 0.5) for j in jobs]
         )
-        patched = engine.structure(shifted, TimeGrid.covering(shifted.max_end()))
+        clone = engine.structure(shrunk, grid)
         assert telemetry.counters["structure_patch_hits"] == 1
-        assert patched._engine_key is not None
-        # The solve memo works over patched structures: two solves, one LP.
-        engine.cached_solve(patched, "stage1", lambda: build_stage1_lp(patched))
-        engine.cached_solve(patched, "stage1", lambda: build_stage1_lp(patched))
+        # Same layout, other demands: a different LP, so a different key.
+        assert clone._engine_key is not None
+        assert clone._engine_key != donor._engine_key
+        assert clone._engine_key[0] == donor._engine_key[0]
+        # The solve memo works over clones: two solves, one LP.
+        engine.cached_solve(clone, "stage1", lambda: build_stage1_lp(clone))
+        engine.cached_solve(clone, "stage1", lambda: build_stage1_lp(clone))
         assert telemetry.counters["memo_hits"] == 1
         assert telemetry.counters.get("engine_memo_bypass", 0) == 0
+        # ...and the donor's LP is not served from the clone's entry.
+        engine.cached_solve(donor, "stage1", lambda: build_stage1_lp(donor))
+        assert telemetry.counters["memo_hits"] == 1
+        assert telemetry.counters["engine_solves"] == 2
 
     def test_memo_bypass_counted_for_unkeyed_structures(
         self, network, jobs, telemetry

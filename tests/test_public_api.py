@@ -94,7 +94,6 @@ class TestPublicSurface:
             "LoadReactivePathsPolicy",
             "POLICY_NAMES",
             "make_policy",
-            "SchedulingEnv",
             "PolicyRunResult",
             "PolicyComparison",
             "compare_policies",
