@@ -17,8 +17,11 @@ cases — an absolute rate, noisier).  A case regresses when its fresh
 metric falls below ``baseline * (1 - tolerance)``; the tolerance is the
 document-level ``"tolerance"`` field of the baseline when present, else
 ``TOLERANCE``.  Cases present only in the fresh document are reported
-as new and pass, cases that *disappeared* fail.  Exit status is the
-number of regressed cases.
+as new and pass, cases that *disappeared* fail.  A fresh case that
+records ``"skipped"`` (a case the bench could not decide on this
+machine, e.g. a parallel speedup on too few cores) is reported as
+skipped and compared with nothing.  Exit status is the number of
+regressed cases.
 """
 
 from __future__ import annotations
@@ -49,6 +52,8 @@ def compare(baseline: dict, fresh: dict) -> list[str]:
         if name not in fresh_cases:
             problems.append(f"{name}: case missing from fresh results")
             continue
+        if "skipped" in fresh_cases[name] or "skipped" in base:
+            continue
         metric, base_value = _metric(base)
         if metric not in fresh_cases[name]:
             problems.append(
@@ -75,6 +80,9 @@ def main(argv: list[str]) -> int:
     fresh = json.loads(fresh_path.read_text())
     problems = compare(baseline, fresh)
     for name, case in sorted(fresh.get("cases", {}).items()):
+        if "skipped" in case:
+            print(f"SKIP {name}: {case['skipped']}")
+            continue
         metric, value = _metric(case)
         marker = "NEW " if name not in baseline.get("cases", {}) else ""
         base = baseline.get("cases", {}).get(name, {}).get(metric, "-")

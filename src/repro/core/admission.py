@@ -236,9 +236,11 @@ def admit_greedy(
 
     ``budget`` and ``path_sets`` behave as in :func:`admit_max_prefix`:
     a mid-walk budget expiry keeps the already-accepted set and rejects
-    every job not yet probed, with ``degraded=True``.  Each probe solve
-    retries under the engine's ``resilience``, as the prefix search's
-    engine-routed solves do.
+    every job not yet probed, with ``degraded=True``.  Each probe goes
+    through the engine's solve memo, as the prefix search's do: it
+    retries under the engine's ``resilience``, and a scheduler sharing
+    the engine replays the admitted set's stage-1 LP instead of solving
+    it again.
     """
     if threshold <= 0:
         raise ValidationError(f"threshold must be positive, got {threshold}")
@@ -265,9 +267,7 @@ def admit_greedy(
         candidate = JobSet(accepted + [job])
         structure = engine.structure(candidate, grid, path_sets=path_sets)
         try:
-            z = solve_stage1(
-                structure, resilience=engine.resilience, budget=budget
-            ).zstar
+            z = solve_stage1(structure, budget=budget, engine=engine).zstar
         except BudgetExceededError:
             # No time left to probe: everything not yet proven in is out.
             degraded = True

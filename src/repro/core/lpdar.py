@@ -27,6 +27,7 @@ from typing import Literal
 
 import numpy as np
 
+from ..engine.assembly import greedy_tables
 from ..errors import ValidationError
 from ..lp.model import ProblemStructure
 from ..obs import current
@@ -47,7 +48,7 @@ def discretize(x: np.ndarray, tol: float = DISCRETIZE_TOL) -> np.ndarray:
     by floating-point solver noise are not knocked down a full unit.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < -tol):
+    if (x < -tol).any():
         raise ValidationError("assignment has negative entries")
     return np.floor(np.maximum(x, 0.0) + tol)
 
@@ -101,7 +102,7 @@ def greedy_adjust(
         raise ValidationError(
             f"x_int must have shape ({structure.num_cols},), got {x.shape}"
         )
-    if np.any(np.abs(x - np.rint(x)) > 1e-9) or np.any(x < 0):
+    if (np.abs(x - np.rint(x)) > 1e-9).any() or (x < 0).any():
         raise ValidationError("greedy_adjust needs a non-negative integer input")
     if order == "random" and rng is None:
         raise ValidationError('order="random" requires an rng')
@@ -113,10 +114,16 @@ def greedy_adjust(
     grants_made = 0
     granted_wavelengths = 0
     with telemetry.span("greedy_adjust"):
-        residual = structure.residual_capacity(x)
-        if residual.min(initial=0.0) < -1e-9:
+        # Paths, windows and lengths are the structure's (built once, see
+        # engine.assembly.greedy_tables); a call computes only the loads,
+        # the deficits and the walk.  The walk reads the residual of
+        # capacity rows only, (edge, slice) pairs an allowed path crosses
+        # in its job's window, so the rest of the grid stays zero; every
+        # capacity is non-negative, so only a loaded row can be short.
+        tables = greedy_tables(structure)
+        remaining = structure.cap_rhs - structure.capacity_matrix @ x
+        if remaining.min(initial=0.0) < -1e-9:
             raise ValidationError("input assignment already violates capacity")
-        residual = np.rint(np.maximum(residual, 0.0)).astype(np.int64)
 
         num_jobs = len(structure.jobs)
         if targets is None:
@@ -131,31 +138,29 @@ def greedy_adjust(
         # column is a list and a path's bottleneck is ``min`` over its
         # edge ids.  The deficits see the same IEEE arithmetic as NumPy
         # scalars would, so the result is the same ``x``.
-        deficits = (targets - structure.delivered(x)).tolist()
-        columns = residual.T.tolist()
+        deficits = (targets - structure.demand_matrix @ x).tolist()
+        residual = np.zeros(
+            (structure.grid.num_slices, structure.network.num_edges), dtype=np.int64
+        )
+        residual[structure.cap_row_slice, structure.cap_row_edge] = np.rint(
+            np.maximum(remaining, 0.0)
+        )
+        columns = residual.tolist()
         x_out = x.tolist()
-        starts = structure.first_slice.tolist()
-        spans = structure.span.tolist()
-        offsets = structure.job_offset.tolist()
-        lengths = structure.grid.lengths.tolist()
-        path_edges = [
-            [p.edge_ids for p in structure.paths[i]] for i in range(num_jobs)
-        ]
-        # Jobs whose window admits each slice, in job order.
-        num_slices = structure.grid.num_slices
-        active_in: list[list[int]] = [[] for _ in range(num_slices)]
-        for i, (start, count) in enumerate(zip(starts, spans)):
-            for j in range(start, min(start + count, num_slices)):
-                active_in[j].append(i)
+        starts = tables.starts
+        spans = tables.spans
+        offsets = tables.offsets
+        lengths = tables.lengths
+        path_edges = tables.path_edges
 
-        for j, active in enumerate(active_in):
+        for j, active in enumerate(tables.active_in):
             if not active:
                 continue
             if order == "random":
                 active = rng.permutation(np.array(active, dtype=np.intp))
                 active = active.tolist()
             elif order == "deficit_first":
-                active.sort(key=lambda i: -deficits[i])
+                active = sorted(active, key=lambda i: -deficits[i])
             column = columns[j]
             bottleneck = column.__getitem__
             len_j = lengths[j]

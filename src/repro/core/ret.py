@@ -86,14 +86,22 @@ def build_subret_lp(
     ``jobs.with_extended_ends(b)``).  ``gamma`` maps slice indices to
     costs; it must be positive so the objective stays bounded.
     """
-    costs = gamma(structure.col_slice)
-    if np.any(costs <= 0) or not np.all(np.isfinite(costs)):
-        raise ValidationError("gamma must produce positive finite costs")
-    from ..engine.assembly import capacity_floor_blocks
+    from ..engine.assembly import capacity_floor_blocks, capacity_floor_lp
 
-    # Completion floors: -delivered_i <= -d_i (constraint (15)).
+    def costs() -> np.ndarray:
+        values = gamma(structure.col_slice)
+        if np.any(values <= 0) or not np.all(np.isfinite(values)):
+            raise ValidationError("gamma must produce positive finite costs")
+        return values
+
+    # Completion floors: -delivered_i <= -d_i (constraint (15)).  The
+    # default Quick-Finish costs and HiGHS form are cached per structure.
+    if gamma is quick_finish_gamma:
+        return capacity_floor_lp(
+            structure, "subret", costs, -structure.demands, maximize=False
+        )
     a_ub, b_ub = capacity_floor_blocks(structure, -structure.demands)
-    return LinearProgram(objective=costs, a_ub=a_ub, b_ub=b_ub, maximize=False)
+    return LinearProgram(objective=costs(), a_ub=a_ub, b_ub=b_ub, maximize=False)
 
 
 def solve_subret_lp(

@@ -265,7 +265,10 @@ class Scheduler:
     stage-1 LP an admission probe already solved is replayed verbatim.
     Stage 2 always solves with :func:`~repro.lp.solver.solve_lp`'s
     default HiGHS backend: its LP changes with every alpha, so the memo
-    could not replay it.
+    could not replay it.  What the alphas share — the rows, the
+    objective and their HiGHS arrays — is cached on the structure, so
+    each escalation assembles only the new fairness floors
+    (:mod:`repro.engine.assembly`).
     """
 
     def __init__(

@@ -89,12 +89,21 @@ def build_stage2_lp(
     if zstar < 0:
         raise ValidationError(f"zstar must be >= 0, got {zstar}")
 
-    from ..engine.assembly import capacity_floor_blocks
+    from ..engine.assembly import capacity_floor_blocks, capacity_floor_lp
 
     # Fairness rows: -delivered_i <= -(1 - alpha) * Z* * d_i.  The
     # stacked matrix is cached on the structure, so alpha escalations
-    # re-assemble only the right-hand side.
+    # re-assemble only the right-hand side's fairness tail; with the
+    # default weights the objective and HiGHS form are cached too.
     fairness_rhs = -(1.0 - alpha) * zstar * structure.demands
+    if weights is None:
+        return capacity_floor_lp(
+            structure,
+            "stage2",
+            lambda: objective_weights(structure),
+            fairness_rhs,
+            maximize=True,
+        )
     a_ub, b_ub = capacity_floor_blocks(structure, fairness_rhs)
     return LinearProgram(
         objective=objective_weights(structure, weights),

@@ -11,7 +11,9 @@ windows, rerouted paths) are *dropped*, which only frees capacity, and
 per-job shortfalls are covered by a greedy repair over residual
 capacity.  A certificate lets RET skip the expensive ``b_max`` bounds
 probe entirely; a failed certificate costs nothing but the check, and
-the probe solves as before.
+the probe solves as before.  The plan and the check run on Python
+values (edge-id tuples, one load list per touched slice), which sees
+the same float additions in the same order as a dense NumPy load grid.
 
 Structure reuse across epochs lives in the layout layer
 (:mod:`repro.engine.layout`): an exact hit, a clone of a structure with
@@ -55,7 +57,8 @@ class CarriedPlan:
 
     Built from ``(structure, x)`` of a committed scheduling pass; each
     nonzero assignment becomes a grant ``(job id, path edge ids,
-    absolute slice start, slice length, wavelengths)``.  Absolute time
+    absolute slice start, slice length, wavelengths)`` of Python
+    values.  Absolute time
     is the point: the next epoch's grids start later and cover different
     horizons, so grants are re-anchored by *when* they happen, not by
     slice index.
@@ -73,22 +76,19 @@ class CarriedPlan:
     ) -> "CarriedPlan":
         """Extract the nonzero grants of ``x`` over ``structure``."""
         x = np.asarray(x, dtype=float)
-        grid = structure.grid
-        grants = []
-        for c in np.flatnonzero(x > _GRANT_TOL):
-            i = int(structure.col_job[c])
-            path = structure.paths[i][int(structure.col_path[c])]
-            j = int(structure.col_slice[c])
-            grants.append(
-                (
-                    structure.jobs[i].id,
-                    tuple(path.edge_ids),
-                    np.asarray(path.edge_ids, dtype=np.int64),
-                    float(grid.slice_start(j)),
-                    float(grid.lengths[j]),
-                    float(x[c]),
-                )
+        cols = np.flatnonzero(x > _GRANT_TOL)
+        jobs, paths = structure.jobs, structure.paths
+        starts = structure.grid.boundaries.tolist()
+        lengths = structure.grid.lengths.tolist()
+        grants = [
+            (jobs[i].id, tuple(paths[i][p].edge_ids), starts[j], lengths[j], value)
+            for i, p, j, value in zip(
+                structure.col_job[cols].tolist(),
+                structure.col_path[cols].tolist(),
+                structure.col_slice[cols].tolist(),
+                x[cols].tolist(),
             )
+        ]
         return cls(grants)
 
     def certifies(
@@ -109,12 +109,16 @@ class CarriedPlan:
         Returns True iff every demand floor and every capacity row of
         the LP is satisfied by the result.  Certification is *sound*,
         never complete: a False just means the caller must solve.
+
+        The walk runs on Python floats, one load list per slice that a
+        grant or the repair touches; every load sees the same additions
+        in the same order as a dense NumPy load matrix would.
         """
         lengths = grid.lengths
         slice_len = float(lengths[0])
-        if np.any(np.abs(lengths - slice_len) > _TIME_EPS):
+        if (np.abs(lengths - slice_len) > _TIME_EPS).any():
             return False  # witness mapping assumes a uniform grid
-        caps = network.capacities().astype(float)
+        caps = network.capacities().astype(float).tolist()
         rate = float(network.wavelength_rate)
 
         # Per-job window, allowed paths and normalized demand — the same
@@ -127,17 +131,22 @@ class CarriedPlan:
             pset = list(path_sets.get((job.source, job.dest)) or ())[:k_paths]
             if not pset:
                 return False
-            keys = set()
-            allowed = []
-            for p in pset:
-                keys.add(tuple(p.edge_ids))
-                allowed.append(np.asarray(p.edge_ids, dtype=np.int64))
-            live[job.id] = (window, keys, allowed, job.size / rate)
+            allowed = [tuple(p.edge_ids) for p in pset]
+            live[job.id] = (window, set(allowed), allowed, job.size / rate)
 
-        loads = np.zeros((network.num_edges, grid.num_slices))
+        num_slices = grid.num_slices
+        loads: list[list[float] | None] = [None] * num_slices
+
+        def load_column(j: int) -> list[float]:
+            column = loads[j]
+            if column is None:
+                column = loads[j] = [0.0] * len(caps)
+            return column
+
         delivered = dict.fromkeys(live, 0.0)
         grid_start = float(grid.start)
-        for job_id, key, edges, t, length, value in self.grants:
+        mapped = []
+        for job_id, edges, t, length, value in self.grants:
             info = live.get(job_id)
             if info is None:
                 continue  # job completed / expired: capacity freed
@@ -146,19 +155,25 @@ class CarriedPlan:
                 continue  # slice geometry changed; cannot re-anchor
             rel = (t - grid_start) / slice_len
             j = int(round(rel))
-            if abs(rel - j) > _TIME_EPS or not 0 <= j < grid.num_slices:
+            if abs(rel - j) > _TIME_EPS or not 0 <= j < num_slices:
                 continue  # slice lies in the executed past or off-grid
             if not window.start <= j < window.stop:
                 continue  # window shifted away from this slice
-            if key not in keys:
+            if edges not in keys:
                 continue  # route changed (fault reroute): drop the grant
-            loads[edges, j] += value
+            column = load_column(j)
+            for e in edges:
+                column[e] += value
             delivered[job_id] += value * slice_len
+            mapped.append((column, edges))
 
         # Mapped grants must respect *this* instance's capacities (the
-        # plan may have been drawn under a degraded fault profile).
-        if np.any(loads > caps[:, None] + _FEAS_TOL):
-            return False
+        # plan may have been drawn under a degraded fault profile).  Only
+        # loaded entries can exceed one: capacities are positive.
+        for column, edges in mapped:
+            for e in edges:
+                if column[e] > caps[e] + _FEAS_TOL:
+                    return False
 
         # Greedy repair: top up every under-delivered job (new arrivals
         # have no carried grants at all) from residual capacity.
@@ -168,12 +183,15 @@ class CarriedPlan:
             if need <= _FEAS_TOL:
                 continue
             for j in window:
+                column = load_column(j)
                 for edges in allowed:
-                    avail = float((caps[edges] - loads[edges, j]).min())
+                    avail = min([caps[e] - column[e] for e in edges])
                     if avail <= 0.0:
                         continue
                     take_vol = min(avail * slice_len, need)
-                    loads[edges, j] += take_vol / slice_len
+                    add = take_vol / slice_len
+                    for e in edges:
+                        column[e] += add
                     need -= take_vol
                     if need <= _FEAS_TOL:
                         break

@@ -47,6 +47,7 @@ from ..network.paths import Path
 from ..obs import current
 from ..timegrid import TimeGrid
 from ..workload.jobs import JobSet
+from .assembly import DEMAND_INDEPENDENT
 from .topology import TopologyLayer
 
 __all__ = ["LayoutLayer", "FragmentCache", "patch_structure"]
@@ -139,22 +140,21 @@ def patch_structure(donor: ProblemStructure, jobs: JobSet) -> ProblemStructure:
     endpoints in the same order, the same slice windows, grid,
     ``k_paths`` and routes, and no capacity profile.  Only the demands
     differ, so every column array and constraint matrix of the donor
-    applies verbatim, as does its rhs-independent ``capacity_floor``
-    assembly block (and its ``stage1`` block when the demands are equal
-    too, since that one embeds ``-demands``).
+    applies verbatim, as do its demand-independent assembly-cache
+    entries (:data:`repro.engine.assembly.DEMAND_INDEPENDENT`: the
+    ``capacity_floor`` block with its HiGHS rows, Algorithm 1's tables
+    and the SUB-RET objective and form), and its ``stage1`` blocks when
+    the demands are equal too, since those embed ``-demands``.
     """
     out = copy.copy(donor)
     out.jobs = jobs
     out.demands = jobs.sizes() / donor.network.wavelength_rate
     out.demands.setflags(write=False)
     donor_cache = donor._assembly_cache
-    out._assembly_cache = {}
-    floor = donor_cache.get("capacity_floor")
-    if floor is not None:
-        out._assembly_cache["capacity_floor"] = floor
-    stage1 = donor_cache.get("stage1")
-    if stage1 is not None and (out.demands == donor.demands).all():
-        out._assembly_cache["stage1"] = stage1
+    shared = [key for key in DEMAND_INDEPENDENT if key in donor_cache]
+    if "stage1" in donor_cache and (out.demands == donor.demands).all():
+        shared.append("stage1")
+    out._assembly_cache = {key: donor_cache[key] for key in shared}
     current().record("structure_patched", jobs=len(jobs), num_cols=out.num_cols)
     return out
 

@@ -82,6 +82,18 @@ def job_capacity_fragment(
     return edge, rel_slice, rel_col
 
 
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+def _index_dtype(*extents: int) -> type:
+    """SciPy's CSR index dtype for a matrix whose shape and nnz are ``extents``.
+
+    ``int32`` when every extent fits, as ``scipy.sparse`` chooses it, so
+    arrays written in this dtype pass its constructor unconverted.
+    """
+    return np.int32 if max(extents) <= _INT32_MAX else np.int64
+
+
 def column_layout(
     first_slice: np.ndarray,
     span: np.ndarray,
@@ -220,17 +232,19 @@ class ProblemStructure:
             self.paths.append(list(pset[:k_paths]))
 
         # Allowed slice ranges per job (contiguous, paper constraint (4)).
-        self.first_slice = np.empty(len(jobs), dtype=np.int64)
-        self.span = np.empty(len(jobs), dtype=np.int64)
-        for i, job in enumerate(jobs):
+        first_slice: list[int] = []
+        span: list[int] = []
+        for job in jobs:
             window = grid.window_slices(job.start, job.end)
             if len(window) == 0:
                 raise ValidationError(
                     f"job {job.id!r}: window [{job.start}, {job.end}] "
                     "contains no whole time slice"
                 )
-            self.first_slice[i] = window.start
-            self.span[i] = len(window)
+            first_slice.append(window.start)
+            span.append(len(window))
+        self.first_slice = np.array(first_slice, dtype=np.int64)
+        self.span = np.array(span, dtype=np.int64)
 
         self.num_paths = np.array([len(p) for p in self.paths], dtype=np.int64)
 
@@ -275,13 +289,16 @@ class ProblemStructure:
         are shifted to absolute rows/columns here; a shared
         ``fragment_cache`` skips recomputing patterns seen in previous
         builds (same paths and span, any window position).
+
+        The CSR arrays are written directly: one sort of the entries by
+        ``(row key, column)`` gives the rows in increasing ``(edge,
+        slice)`` order with sorted columns, the canonical form (and index
+        dtype) ``coo_matrix(...).tocsr()`` would produce.
         """
         num_slices = self.grid.num_slices
-        row_keys_parts: list[np.ndarray] = []
-        col_parts: list[np.ndarray] = []
+        fragments = []
         telemetry = current()
-        for i in range(len(self.jobs)):
-            span = int(self.span[i])
+        for i, span in enumerate(self.span.tolist()):
             fragment = None
             key = None
             if fragment_cache is not None:
@@ -294,17 +311,30 @@ class ProblemStructure:
                 telemetry.count("layout_fragment_builds")
             else:
                 telemetry.count("layout_fragment_hits")
-            edge, rel_slice, rel_col = fragment
-            row_keys_parts.append(
-                edge * num_slices + (int(self.first_slice[i]) + rel_slice)
-            )
-            col_parts.append(int(self.job_offset[i]) + rel_col)
-        row_keys = np.concatenate(row_keys_parts)
-        cols = np.concatenate(col_parts)
+            fragments.append(fragment)
+        edge, rel_slice, rel_col = (np.concatenate(part) for part in zip(*fragments))
+        sizes = [len(fragment[0]) for fragment in fragments]
+        row_keys = edge * num_slices + (
+            np.repeat(self.first_slice, sizes) + rel_slice
+        )
+        cols = np.repeat(self.job_offset[:-1], sizes) + rel_col
 
-        unique_keys, rows = np.unique(row_keys, return_inverse=True)
-        self.cap_row_edge = (unique_keys // num_slices).astype(np.int64)
-        self.cap_row_slice = (unique_keys % num_slices).astype(np.int64)
+        # (row key, column) pairs are distinct, so any sort gives one order.
+        order = np.argsort(row_keys * self.num_cols + cols)
+        keys = row_keys[order]
+        nnz = len(keys)
+        new_row = np.empty(nnz, dtype=bool)
+        new_row[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=new_row[1:])
+        first = np.flatnonzero(new_row)
+        unique_keys = keys[first]
+        num_rows = len(first)
+        index_dtype = _index_dtype(num_rows, self.num_cols, nnz)
+        indptr = np.empty(num_rows + 1, dtype=index_dtype)
+        indptr[:-1] = first
+        indptr[-1] = nnz
+        self.cap_row_edge = unique_keys // num_slices
+        self.cap_row_slice = unique_keys % num_slices
         if self.capacity_profile is not None:
             self.cap_rhs = self.capacity_profile.matrix[
                 self.cap_row_edge, self.cap_row_slice
@@ -312,11 +342,10 @@ class ProblemStructure:
         else:
             capacities = self.network.capacities()
             self.cap_rhs = capacities[self.cap_row_edge].astype(float)
-        data = np.ones(len(cols), dtype=float)
-        self.capacity_matrix = sp.coo_matrix(
-            (data, (rows, cols)),
-            shape=(len(unique_keys), self.num_cols),
-        ).tocsr()
+        self.capacity_matrix = sp.csr_matrix(
+            (np.ones(nnz), cols[order].astype(index_dtype), indptr),
+            shape=(num_rows, self.num_cols),
+        )
         self.cap_row_edge.setflags(write=False)
         self.cap_row_slice.setflags(write=False)
         self.cap_rhs.setflags(write=False)
@@ -328,13 +357,15 @@ class ProblemStructure:
         ``indptr`` *is* ``job_offset`` and the indices run
         ``0..num_cols-1``.
         """
+        num_jobs = len(self.jobs)
+        index_dtype = _index_dtype(num_jobs, self.num_cols)
         self.demand_matrix = sp.csr_matrix(
             (
                 self.col_len.copy(),
-                np.arange(self.num_cols, dtype=np.int64),
-                self.job_offset.copy(),
+                np.arange(self.num_cols, dtype=index_dtype),
+                self.job_offset.astype(index_dtype),
             ),
-            shape=(len(self.jobs), self.num_cols),
+            shape=(num_jobs, self.num_cols),
         )
 
     # ------------------------------------------------------------------

@@ -20,6 +20,18 @@ before every load, so no basis carries over and each solve still starts
 cold from presolve: every answer is the one a fresh instance gives,
 without paying for a new instance per solve.
 
+HiGHS-ready arrays
+------------------
+
+What :func:`solve_highs` hands HiGHS besides the ``<=`` right-hand side
+is made once and reused: a lone constraint block goes to HiGHS as its
+own CSR arrays (:func:`_stacked_rows`), so a block the structure caches
+is loaded uncopied, and the cost, column bounds and row lower bounds
+are kept in the problem's ``_highs_form`` dict, which the assembly
+layer shares among the LPs of one family over one structure
+(:mod:`repro.engine.assembly`).  The arrays are the ones a fresh
+assembly gives, byte for byte; no basis or option carries over.
+
 Resilient solve chain
 ---------------------
 
@@ -61,6 +73,7 @@ in :class:`~repro.core.scheduler.Scheduler`.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -114,6 +127,11 @@ class LinearProgram:
         Variable bounds; scalars broadcast.  Defaults: ``0 <= x``.
     maximize:
         Sense of the objective.
+
+    :func:`solve_highs` keeps the HiGHS-ready cost and bound vectors it
+    derives from a problem in the problem's private ``_highs_form``
+    dict; a builder may hand many LPs one shared dict (see
+    :func:`_highs_form`).
     """
 
     objective: np.ndarray
@@ -129,7 +147,7 @@ class LinearProgram:
         self.objective = np.asarray(self.objective, dtype=float)
         if self.objective.ndim != 1:
             raise ValidationError("objective must be a 1-D coefficient vector")
-        if not np.all(np.isfinite(self.objective)):
+        if not np.isfinite(self.objective).all():
             raise ValidationError(
                 "objective coefficients must be finite (a corrupt problem "
                 "would silently poison the solve)"
@@ -148,13 +166,20 @@ class LinearProgram:
         against NaN are all false, so without this check such values
         sail through ``bounds_arrays`` and poison the backend.
         """
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+        lo, hi = self.lower, self.upper
+        if _is_scalar(lo) and _is_scalar(hi):
+            has_nan = math.isnan(lo) or math.isnan(hi)
+            lo_inf, hi_inf = lo == math.inf, hi == -math.inf
+        else:
+            lo = np.asarray(lo, dtype=float)
+            hi = np.asarray(hi, dtype=float)
+            has_nan = np.isnan(lo).any() or np.isnan(hi).any()
+            lo_inf, hi_inf = (lo == np.inf).any(), (hi == -np.inf).any()
+        if has_nan:
             raise ValidationError("variable bounds must not contain NaN")
-        if np.any(lo == np.inf):
+        if lo_inf:
             raise ValidationError("a lower bound is +inf (no feasible value)")
-        if np.any(hi == -np.inf):
+        if hi_inf:
             raise ValidationError("an upper bound is -inf (no feasible value)")
 
     @staticmethod
@@ -165,14 +190,16 @@ class LinearProgram:
         if mat is None:
             return None
         # Scalars (e.g. a single-row block with rhs 5.0) are legal input;
-        # atleast_1d keeps shape[0] valid instead of an IndexError.
-        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-        if rhs.ndim != 1:
+        # as a 1-vector, shape[0] stays valid instead of an IndexError.
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.ndim == 0:
+            rhs = rhs.reshape(1)
+        elif rhs.ndim != 1:
             raise ValidationError(
                 f"{name}'s rhs must be a scalar or 1-D vector, "
                 f"got shape {rhs.shape}"
             )
-        if not np.all(np.isfinite(rhs)):
+        if not np.isfinite(rhs).all():
             raise ValidationError(
                 f"{name}'s rhs must be finite; non-finite right-hand sides "
                 "(e.g. from a corrupt checkpoint) are rejected"
@@ -193,11 +220,21 @@ class LinearProgram:
 
     def bounds_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Lower/upper bounds broadcast to full vectors."""
+        if _is_scalar(self.lower) and _is_scalar(self.upper):
+            if self.lower > self.upper:
+                raise ValidationError("a lower bound exceeds its upper bound")
+            n = self.num_vars
+            return np.full(n, float(self.lower)), np.full(n, float(self.upper))
         lo = np.broadcast_to(np.asarray(self.lower, float), (self.num_vars,))
         hi = np.broadcast_to(np.asarray(self.upper, float), (self.num_vars,))
         if np.any(lo > hi):
             raise ValidationError("a lower bound exceeds its upper bound")
         return lo.copy(), hi.copy()
+
+
+def _is_scalar(value) -> bool:
+    """Whether ``value`` is a Python (or NumPy float) scalar bound."""
+    return isinstance(value, (int, float))
 
 
 @dataclass(frozen=True)
@@ -378,6 +415,8 @@ def _record_solve(
 ) -> None:
     """Append one ``lp_solve`` record describing a finished solve."""
     telemetry = current()
+    if not telemetry.enabled:
+        return
     num_ub = problem.a_ub.shape[0] if problem.a_ub is not None else 0
     num_eq = problem.a_eq.shape[0] if problem.a_eq is not None else 0
     telemetry.record(
@@ -655,15 +694,17 @@ def run_highs(
     if status != _MODEL.kOptimal:
         return HighsRun(status, message)
     solution = highs.getSolution()
-    info = highs.getInfo()
+    # Two reads, not getInfo(): that copies every info field per solve.
+    _, objective = highs.getInfoValue("objective_function_value")
+    _, iterations = highs.getInfoValue("simplex_iteration_count")
     return HighsRun(
         status,
         message,
         x=np.array(solution.col_value),
         row_value=np.array(solution.row_value),
         row_dual=np.array(solution.row_dual),
-        objective=info.objective_function_value,
-        iterations=info.simplex_iteration_count,
+        objective=objective,
+        iterations=iterations,
     )
 
 
@@ -684,15 +725,22 @@ def _canonical_csr(block):
 
 
 def _stacked_rows(problem: LinearProgram) -> tuple[np.ndarray, ...]:
-    """``[a_ub; a_eq]`` as CSR ``(indptr, indices, data)`` arrays."""
+    """``[a_ub; a_eq]`` as CSR ``(indptr, indices, data)`` arrays.
+
+    A lone canonical block with float data already is its own stacking,
+    in values and dtypes, so its arrays go to HiGHS as they are: the
+    ``capacity_floor`` block a structure caches is the HiGHS-ready rows
+    of every stage-2 and SUB-RET solve over it.
+    """
+    blocks = [_canonical_csr(b) for b in (problem.a_ub, problem.a_eq) if b is not None]
+    if len(blocks) == 1 and blocks[0].data.dtype == np.float64:
+        (block,) = blocks
+        return block.indptr, block.indices, block.data
     indptr = [np.zeros(1, dtype=np.int32)]
     indices = [np.empty(0, dtype=np.int32)]
     data = [_EMPTY]
     offset = 0
-    for block in (problem.a_ub, problem.a_eq):
-        if block is None:
-            continue
-        block = _canonical_csr(block)
+    for block in blocks:
         indptr.append(block.indptr[1:] + offset)
         indices.append(block.indices)
         data.append(block.data)
@@ -700,10 +748,41 @@ def _stacked_rows(problem: LinearProgram) -> tuple[np.ndarray, ...]:
     return np.concatenate(indptr), np.concatenate(indices), np.concatenate(data)
 
 
+def _highs_form(problem: LinearProgram) -> dict:
+    """The HiGHS-ready vectors of ``problem`` that its ``<=`` rhs leaves alone.
+
+    ``cost`` (the objective of the minimization HiGHS solves),
+    ``col_lower``/``col_upper`` (full bound vectors), ``lo``/``hi`` (the
+    bounds as given, scalars or vectors, for the post-solve check and
+    the clamp) and ``row_lower``.  They are made on the first solve and
+    kept in ``problem._highs_form``.  LPs that agree in objective,
+    sense, bounds, ``<=`` row count and equality block may share one
+    dict, so each is made once for all of them (see
+    :func:`repro.engine.assembly.capacity_floor_lp`).
+    """
+    form = problem.__dict__.get("_highs_form")
+    if form is None:
+        form = problem._highs_form = {}
+    if not form:
+        col_lower, col_upper = problem.bounds_arrays()
+        scalar = _is_scalar(problem.lower) and _is_scalar(problem.upper)
+        b_ub = _EMPTY if problem.b_ub is None else problem.b_ub
+        b_eq = _EMPTY if problem.b_eq is None else problem.b_eq
+        form.update(
+            cost=-problem.objective if problem.maximize else problem.objective,
+            col_lower=col_lower,
+            col_upper=col_upper,
+            lo=float(problem.lower) if scalar else col_lower,
+            hi=float(problem.upper) if scalar else col_upper,
+            row_lower=np.concatenate((np.full(b_ub.shape[0], -np.inf), b_eq)),
+        )
+    return form
+
+
 def _passes_linprog_check(
     run: HighsRun,
-    lo: np.ndarray,
-    hi: np.ndarray,
+    lo: np.ndarray | float,
+    hi: np.ndarray | float,
     b_ub: np.ndarray,
     b_eq: np.ndarray,
 ) -> bool:
@@ -711,18 +790,28 @@ def _passes_linprog_check(
 
     The point must be NaN-free, inside its bounds and every ``<=`` row,
     and on every equality row, each to within :data:`_FEASIBILITY_TOL`.
+    ``lo``/``hi`` are vectors or scalars for all columns.  A least or
+    greatest entry is NaN when any entry is, so each test below fails on
+    NaN exactly as the entrywise tests it stands for.
     """
     tol = _FEASIBILITY_TOL
-    m_ub = b_ub.shape[0]
-    slack = b_ub - run.row_value[:m_ub]
-    residual = b_eq - run.row_value[m_ub:]
-    if np.isnan(run.objective) or np.isnan(slack).any() or np.isnan(residual).any():
+    if math.isnan(run.objective):
         return False
-    return bool(
-        np.all((run.x >= lo - tol) & (run.x <= hi + tol))
-        and not (slack < -tol).any()
-        and not (np.abs(residual) > tol).any()
-    )
+    x = run.x
+    if x.shape[0]:
+        if isinstance(lo, float) and isinstance(hi, float):
+            if not (x.min() >= lo - tol and x.max() <= hi + tol):
+                return False
+        elif not ((x >= lo - tol) & (x <= hi + tol)).all():
+            return False
+    m_ub = b_ub.shape[0]
+    if m_ub and not (b_ub - run.row_value[:m_ub]).min() >= -tol:
+        return False
+    if b_eq.shape[0]:
+        residual = b_eq - run.row_value[m_ub:]
+        if not (residual.min() >= -tol and residual.max() <= tol):
+            return False
+    return True
 
 
 def solve_highs(
@@ -739,17 +828,17 @@ def solve_highs(
     "optimal" point that fails linprog's feasibility check, raises
     :class:`~repro.errors.SolverError` carrying linprog's 0-4 status.
     """
-    cost = -problem.objective if problem.maximize else problem.objective
-    lo, hi = problem.bounds_arrays()
+    form = _highs_form(problem)
+    lo, hi = form["lo"], form["hi"]
     b_ub = _EMPTY if problem.b_ub is None else problem.b_ub
     b_eq = _EMPTY if problem.b_eq is None else problem.b_eq
     time_limit = None if budget is None else budget.backend_time_limit()
     with current().span("lp_solve") as span:
         run = run_highs(
-            cost,
-            lo,
-            hi,
-            np.concatenate((np.full(b_ub.shape[0], -np.inf), b_eq)),
+            form["cost"],
+            form["col_lower"],
+            form["col_upper"],
+            form["row_lower"],
             np.concatenate((b_ub, b_eq)),
             _stacked_rows(problem),
             time_limit,

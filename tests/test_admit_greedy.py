@@ -98,3 +98,64 @@ class TestAdmitGreedy:
             net, jobs, TimeGrid.uniform(2), key=by_size_descending
         )
         assert {j.id for j in greedy.admitted} == {"big"}
+
+
+class TestProbesGoThroughTheEngineMemo:
+    """The simulator's greedy admission probes share the scheduler's memo.
+
+    The same run is made twice: as is, and with the probes' stage-1
+    solves taken off the engine memo (each probe solves on its own, as
+    before the probes took ``engine=``).  The memo turns exactly the
+    replayed solves into hits and changes no journal byte.
+    """
+
+    @staticmethod
+    def _run(tmp_path, monkeypatch, bypass_memo: bool):
+        import json
+
+        from repro import Simulation
+        from repro.core import admission, throughput
+        from repro.obs import Telemetry
+        from repro.verify.fuzz import make_scenario
+
+        if bypass_memo:
+            def solve_stage1(structure, resilience=None, budget=None,
+                             engine=None):
+                if engine is not None:
+                    resilience = engine.resilience
+                return throughput.solve_stage1(
+                    structure, resilience=resilience, budget=budget
+                )
+
+            monkeypatch.setattr(admission, "solve_stage1", solve_stage1)
+        scenario = make_scenario(0)
+        path = tmp_path / f"sim-{bypass_memo}.jsonl"
+        with Telemetry() as telemetry:
+            Simulation(
+                scenario.network, policy="reject", rejection="greedy",
+                k_paths=3, fault_schedule=scenario.fault_schedule,
+                journal=path,
+            ).run(scenario.jobs, horizon=scenario.grid.end * 3.0)
+        monkeypatch.undo()
+
+        def strip(obj):
+            if isinstance(obj, dict):
+                return {k: strip(v) for k, v in obj.items()
+                        if k not in ("solve_seconds", "crc")}
+            if isinstance(obj, list):
+                return [strip(v) for v in obj]
+            return obj
+
+        lines = [strip(json.loads(line))
+                 for line in path.read_text().splitlines()]
+        counters = telemetry.counters
+        return counters["lp_solves"], counters.get("memo_hits", 0), lines
+
+    def test_replayed_solves_become_memo_hits(self, tmp_path, monkeypatch):
+        solves, hits, lines = self._run(tmp_path, monkeypatch, False)
+        solo_solves, solo_hits, solo_lines = self._run(
+            tmp_path, monkeypatch, True
+        )
+        assert solves < solo_solves
+        assert hits - solo_hits == solo_solves - solves
+        assert lines == solo_lines

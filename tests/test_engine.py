@@ -805,3 +805,31 @@ class TestCarriedPlan:
         assert np.array_equal(
             warm.assignments.x_lpdar, cold.assignments.x_lpdar
         )
+
+
+class TestConstructionStaysLazy:
+    """Construction builds no path, structure or LP.
+
+    The benchmark's ``setup_s`` times network, jobs and driver
+    construction; every engine cache must fill on first use, after it.
+    """
+
+    FILLED = ("path_cache_misses", "cold_builds", "structures_built",
+              "lp_solves")
+
+    def test_simulation_and_journaled_service(self, tmp_path):
+        from repro import Simulation
+        from repro.service import ReservationService
+
+        with Telemetry() as telemetry:
+            Simulation(
+                topologies.abilene(capacity=1, wavelength_rate=20.0),
+                policy="extend",
+                verify_epochs=True,
+            )
+            service = ReservationService(
+                topologies.abilene(capacity=1, wavelength_rate=20.0),
+                journal=tmp_path / "serve.jsonl",
+            )
+            service.close()
+        assert not set(self.FILLED) & set(telemetry.counters)

@@ -142,6 +142,39 @@ class TestDegradedLinkPlanning:
         assert max(excess) <= 1e-9
 
 
+class TestAdmissionOnTheSnapshot:
+    """Admission probes a link whose degradation is already known.
+
+    ROADMAP item 1: the service's admission probe plans on installed
+    capacity while the scheduler plans on the fault snapshot, so it
+    accepts commitments its own plan cannot carry.  Strict: the fix of
+    item 1 turns this test green and must drop the marker.
+    """
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: admission probes installed capacity, "
+        "not the fault snapshot the scheduler plans on",
+    )
+    def test_no_accepted_reservation_expires_undelivered(self):
+        net = abilene(capacity=4, wavelength_rate=20.0)
+        fs = FaultSchedule(
+            net, [WavelengthDegrade(0.5, "Seattle", "Sunnyvale", 1)]
+        )
+        service = ReservationService(net, k_paths=1, tau=1, fault_schedule=fs)
+        _run_ticks(service, 2)
+        for k in range(4):
+            service.submit(_request(f"r{k}", "Seattle", "Sunnyvale", 40.0,
+                                    start=2.0, end=4.0))
+        _run_ticks(service, 6)
+
+        # The book holds every accepted reservation.
+        lost = {rid: res.remaining
+                for rid, res in service.book.reservations.items()
+                if res.status == "expired" and res.remaining > 0}
+        assert lost == {}
+
+
 def _realized_report(kernel, structure, executed, x):
     """Check a realized allocation against the fault ground truth."""
     cap = structure.capacity_grid()
