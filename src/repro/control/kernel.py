@@ -77,6 +77,7 @@ __all__ = [
     "FaultDetection",
     "base_action_for",
     "advance_fault_cursor",
+    "check_journal_safe",
     "window_closed",
     "used_edges",
     "encode_run_config",
@@ -316,6 +317,25 @@ def window_closed(
     return end - max(start, now) < slice_length - _EPS
 
 
+def check_journal_safe(policy, journal) -> None:
+    """Refuse an adaptive control policy on a journaled run.
+
+    A resumed run replays without the policy object, so only a policy
+    that declares itself ``journal_safe`` (or none at all) may drive a
+    run whose journal can be resumed.
+    """
+    if (
+        policy is not None
+        and journal is not None
+        and not getattr(policy, "journal_safe", False)
+    ):
+        raise ValidationError(
+            "journal= requires a journal-safe control policy "
+            "(FixedPolicy or None); adaptive policies cannot be "
+            "replayed on resume"
+        )
+
+
 def used_edges(structure, x, tol: float) -> dict:
     """Edge ids each job's schedule actually uses, keyed by raw job id.
 
@@ -487,8 +507,8 @@ class EpochKernel:
 
         One engine per path-set size for the whole run: path sets,
         structure layouts and memoized solves carry over between epochs.
-        Every engine takes the run's ``resilience`` as its default, so
-        admission probes retry like the scheduler's own solves.
+        Every engine owns the run's ``resilience``: admission probes,
+        RET searches and the schedulers bound to it all retry under it.
         """
         engine = self._engines.get(k_paths)
         if engine is None:
@@ -510,7 +530,6 @@ class EpochKernel:
                 alpha_step=action.alpha_step,
                 alpha_max=action.alpha_max,
                 slice_length=self.slice_length,
-                resilience=self.resilience,
                 engine=self.engine_for(action.k_paths),
                 verify_solutions=self.verify_solutions,
             )

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Callable
 
-from ..engine.engine import ModelEngine
+from ..engine.engine import ModelEngine, bind_engine
 from ..errors import BudgetExceededError, ValidationError
 from ..lp.solver import SolveBudget
 from ..network.graph import Network
@@ -99,28 +99,39 @@ class AdmissionDecision:
         return len(self.rejected)
 
 
-def _admission_engine(
-    network: Network, k_paths: int, engine: ModelEngine | None
-) -> ModelEngine:
-    """Validate a caller-shared engine, or mint a local one.
+def _prologue(
+    network: Network,
+    jobs: JobSet,
+    grid: TimeGrid,
+    k_paths: int,
+    threshold: float,
+    key: Callable[[Job], tuple],
+    engine: ModelEngine | None,
+    path_sets: dict | None,
+) -> tuple[ModelEngine, dict, JobSet, list[Job], list[Job]]:
+    """The preamble both admission searches share.
 
-    A shared engine (the simulator passes its per-run instance) lets the
-    prefix search reuse the run's cached paths, structures and fragments,
-    and the solve memo, instead of starting from empty caches: a prefix
-    probe the run has already built is an exact hit or a clone.
+    Checks ``threshold``, orders ``jobs`` by ``key``, binds the engine
+    (a shared one — the simulator passes its per-run instance — lets
+    the search reuse the run's cached paths, structures, fragments and
+    solve memo) and resolves the default ``path_sets``.  Returns the
+    engine, the path sets, the ordered jobs, and those jobs split into
+    the schedulable and the individually unschedulable (no path, or no
+    whole slice inside their window), in order.
     """
-    if engine is None:
-        return ModelEngine(network, k_paths)
-    if engine.network is not network:
-        raise ValidationError(
-            "engine is bound to a different network than the admission call's"
-        )
-    if engine.k_paths != k_paths:
-        raise ValidationError(
-            f"engine resolves k_paths={engine.k_paths} but admission was "
-            f"asked for k_paths={k_paths}"
-        )
-    return engine
+    if threshold <= 0:
+        raise ValidationError(f"threshold must be positive, got {threshold}")
+    ordered = jobs.sorted_by(key)
+    engine = bind_engine(network, k_paths, engine, "the admission call")
+    if path_sets is None:
+        path_sets = engine.topology.path_sets(ordered.od_pairs())
+    schedulable: list[Job] = []
+    unschedulable: list[Job] = []
+    for job in ordered:
+        has_path = bool(path_sets.get((job.source, job.dest)))
+        has_slice = len(grid.window_slices(job.start, job.end)) > 0
+        (schedulable if has_path and has_slice else unschedulable).append(job)
+    return engine, path_sets, ordered, schedulable, unschedulable
 
 
 def admit_max_prefix(
@@ -154,21 +165,11 @@ def admit_max_prefix(
     ``degraded=True`` instead of letting the probe blow the epoch
     deadline.
     """
-    if threshold <= 0:
-        raise ValidationError(f"threshold must be positive, got {threshold}")
-    ordered = jobs.sorted_by(key)
     # One engine for the whole search: paths resolve once and prefix
     # structures share layout fragments across probes.
-    engine = _admission_engine(network, k_paths, engine)
-    if path_sets is None:
-        path_sets = engine.topology.path_sets(ordered.od_pairs())
-
-    schedulable: list[Job] = []
-    rejected: list[Job] = []
-    for job in ordered:
-        has_path = bool(path_sets.get((job.source, job.dest)))
-        has_slice = len(grid.window_slices(job.start, job.end)) > 0
-        (schedulable if has_path and has_slice else rejected).append(job)
+    engine, path_sets, _, schedulable, rejected = _prologue(
+        network, jobs, grid, k_paths, threshold, key, engine, path_sets
+    )
 
     def prefix_zstar(count: int) -> float:
         if count == 0:
@@ -242,28 +243,16 @@ def admit_greedy(
     the engine replays the admitted set's stage-1 LP instead of solving
     it again.
     """
-    if threshold <= 0:
-        raise ValidationError(f"threshold must be positive, got {threshold}")
-    ordered = jobs.sorted_by(key)
     # The candidate sets all share paths and per-job layout fragments;
     # an engine makes the per-job stage-1 solves reuse both.
-    engine = _admission_engine(network, k_paths, engine)
-    if path_sets is None:
-        path_sets = engine.topology.path_sets(ordered.od_pairs())
+    engine, path_sets, ordered, schedulable, _ = _prologue(
+        network, jobs, grid, k_paths, threshold, key, engine, path_sets
+    )
 
     accepted: list[Job] = []
-    rejected: list[Job] = []
     zstar = float("inf")
     degraded = False
-    for job in ordered:
-        has_path = bool(path_sets.get((job.source, job.dest)))
-        has_slice = len(grid.window_slices(job.start, job.end)) > 0
-        if not (has_path and has_slice):
-            rejected.append(job)
-            continue
-        if degraded:
-            rejected.append(job)
-            continue
+    for job in schedulable:
         candidate = JobSet(accepted + [job])
         structure = engine.structure(candidate, grid, path_sets=path_sets)
         try:
@@ -271,16 +260,15 @@ def admit_greedy(
         except BudgetExceededError:
             # No time left to probe: everything not yet proven in is out.
             degraded = True
-            rejected.append(job)
-            continue
+            break
         if z >= threshold:
             accepted.append(job)
             zstar = z
-        else:
-            rejected.append(job)
+    admitted = JobSet(accepted)
     return AdmissionDecision(
-        admitted=JobSet(accepted),
-        rejected=JobSet(rejected),
+        admitted=admitted,
+        # Every job not admitted, in the sequencing order.
+        rejected=JobSet(job for job in ordered if job not in admitted),
         zstar=zstar,
         degraded=degraded,
     )

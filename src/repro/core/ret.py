@@ -25,14 +25,13 @@ from typing import Literal
 
 import numpy as np
 
-from ..engine.engine import ModelEngine
+from ..engine.engine import ModelEngine, bind_engine
 from ..errors import InfeasibleProblemError, ScheduleError, ValidationError
 from ..lp.model import ProblemStructure
 from ..lp.solver import (
     LinearProgram,
     LPSolution,
     SolveBudget,
-    SolveResilience,
     solve_lp,
 )
 from ..obs import current
@@ -107,15 +106,11 @@ def build_subret_lp(
 def solve_subret_lp(
     structure: ProblemStructure,
     gamma: Callable[[np.ndarray], np.ndarray] = quick_finish_gamma,
-    resilience: SolveResilience | None = None,
     budget: SolveBudget | None = None,
 ) -> LPSolution:
     """Solve the SUB-RET LP relaxation; raises when infeasible."""
     return solve_lp(
-        build_subret_lp(structure, gamma),
-        label="subret",
-        resilience=resilience,
-        budget=budget,
+        build_subret_lp(structure, gamma), label="subret", budget=budget
     )
 
 
@@ -194,7 +189,6 @@ def solve_ret(
     path_sets: Mapping[tuple[Node, Node], Sequence[Path]] | None = None,
     mode: RetMode = "end_time",
     capacity_profile=None,
-    resilience: SolveResilience | None = None,
     budget: SolveBudget | None = None,
     engine: "ModelEngine | None" = None,
     warm_start: bool = True,
@@ -240,9 +234,6 @@ def solve_ret(
         candidate extension's grid; slices past the profile's horizon
         use installed capacity.  Its slice length must match
         ``slice_length``.
-    resilience:
-        Optional :class:`~repro.lp.solver.SolveResilience` forwarded to
-        every SUB-RET probe's LP solve (retry / fallback chain).
     budget:
         Optional :class:`~repro.lp.solver.SolveBudget` covering the
         *whole* Algorithm 2 run: checked between binary-search probes
@@ -256,7 +247,9 @@ def solve_ret(
         Optional shared :class:`~repro.engine.ModelEngine` (must be
         bound to ``network`` with matching ``k_paths``).  The simulator
         passes its own so probe layouts and solutions carry over across
-        epochs; by default each call builds a private engine.
+        epochs; by default each call builds a private engine.  Every
+        SUB-RET probe solves under the engine's ``resilience`` (retry /
+        fallback chain).
     warm_start:
         When no ``engine`` is supplied, whether the private engine may
         reuse layouts and memoize probe solves (results are identical
@@ -285,18 +278,9 @@ def solve_ret(
     if mode not in ("end_time", "interval"):
         raise ValidationError(f"unknown RET mode {mode!r}")
     telemetry = current()
-    if engine is None:
-        engine = ModelEngine(network, k_paths, warm_start=warm_start)
-    else:
-        if engine.network is not network:
-            raise ValidationError(
-                "engine is bound to a different network than solve_ret's"
-            )
-        if engine.k_paths != k_paths:
-            raise ValidationError(
-                f"engine resolves k_paths={engine.k_paths} but solve_ret "
-                f"was asked for k_paths={k_paths}"
-            )
+    engine = bind_engine(
+        network, k_paths, engine, "solve_ret", warm_start=warm_start
+    )
     if path_sets is None:
         path_sets = engine.topology.path_sets(jobs.od_pairs())
     if budget is not None:
@@ -333,7 +317,6 @@ def solve_ret(
                 "subret",
                 lambda: build_subret_lp(structure, gamma),
                 cache=cacheable_gamma,
-                resilience=resilience,
                 budget=budget,
                 label="subret",
             )

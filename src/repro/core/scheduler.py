@@ -16,10 +16,10 @@ from collections.abc import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..engine.engine import ModelEngine
+from ..engine.engine import ModelEngine, bind_engine
 from ..errors import BudgetExceededError, ScheduleError, ValidationError
 from ..lp.model import ProblemStructure
-from ..lp.solver import LPSolution, SolveBudget, SolveResilience
+from ..lp.solver import LPSolution, SolveBudget
 from ..network.graph import Network
 from ..obs import current
 from ..network.paths import Path
@@ -228,24 +228,14 @@ class Scheduler:
     weights:
         Optional per-job stage-2 weights (default: the paper's size
         weighting).
-    resilience:
-        Optional :class:`~repro.lp.solver.SolveResilience` forwarded to
-        every stage-1/stage-2 LP solve, enabling the bounded retry /
-        backend-fallback chain.  ``None`` (the default) solves once.
-    budget:
-        Optional :class:`~repro.lp.solver.SolveBudget` default for every
-        :meth:`schedule` call (a per-call ``budget=`` overrides it).
-        When a solve overruns the budget, :meth:`schedule` does not
-        raise: it walks the degradation ladder (full pipeline → LPD
-        floor + greedy residual → greedy baseline) and returns a
-        feasible schedule with ``degraded`` set.
     engine:
         Optional shared :class:`~repro.engine.ModelEngine` (must be
         bound to ``network`` with ``k_paths`` matching).  Callers that
         schedule repeatedly — the simulator above all — pass one engine
         so path resolution, structure layouts and per-job fragments
         carry over between calls; by default the scheduler builds its
-        own.
+        own.  The engine's ``resilience`` is the retry / fallback policy
+        of every stage-1 and stage-2 solve; the scheduler keeps no copy.
     verify_solutions:
         Treat solver backends as untrusted: every stage-1/stage-2
         solution is checked by :func:`repro.verify.verify_schedule`
@@ -261,14 +251,14 @@ class Scheduler:
     stage-1/stage-2 solves and the LPDAR rounding to the
     :func:`~repro.obs.current` collector under a ``"schedule"`` span.
 
-    Stage 1 goes through the engine (its solve memo and backend), so a
-    stage-1 LP an admission probe already solved is replayed verbatim.
-    Stage 2 always solves with :func:`~repro.lp.solver.solve_lp`'s
-    default HiGHS backend: its LP changes with every alpha, so the memo
-    could not replay it.  What the alphas share — the rows, the
-    objective and their HiGHS arrays — is cached on the structure, so
-    each escalation assembles only the new fairness floors
-    (:mod:`repro.engine.assembly`).
+    Stage 1 goes through the engine's solve memo, so a stage-1 LP an
+    admission probe already solved is replayed verbatim.  Stage 2
+    always solves with :func:`~repro.lp.solver.solve_lp`'s default HiGHS
+    backend, under the engine's ``resilience``, and off the memo: its LP
+    changes with every alpha, so the memo could not replay it.  What
+    the alphas share — the rows, the objective and their HiGHS arrays —
+    is cached on the structure, so each escalation assembles only the
+    new fairness floors (:mod:`repro.engine.assembly`).
     """
 
     def __init__(
@@ -282,8 +272,6 @@ class Scheduler:
         greedy_order: GreedyOrder = "paper",
         cap_at_target: bool = False,
         rng: np.random.Generator | None = None,
-        resilience: SolveResilience | None = None,
-        budget: SolveBudget | None = None,
         engine: "ModelEngine | None" = None,
         verify_solutions: bool = False,
     ) -> None:
@@ -305,22 +293,8 @@ class Scheduler:
         self.greedy_order = greedy_order
         self.cap_at_target = cap_at_target
         self.rng = rng
-        self.resilience = resilience
-        self.budget = budget
         self.verify_solutions = verify_solutions
-        if engine is None:
-            engine = ModelEngine(network, k_paths)
-        else:
-            if engine.network is not network:
-                raise ValidationError(
-                    "engine is bound to a different network than the scheduler's"
-                )
-            if engine.k_paths != k_paths:
-                raise ValidationError(
-                    f"engine resolves k_paths={engine.k_paths} but the "
-                    f"scheduler was asked for k_paths={k_paths}"
-                )
-        self.engine = engine
+        self.engine = bind_engine(network, k_paths, engine, "the scheduler")
 
     def build_structure(
         self,
@@ -370,9 +344,10 @@ class Scheduler:
         ``path_sets`` optionally overrides path computation (e.g. the
         online controller rebuilding paths around failed links).
 
-        With a ``budget`` (per-call, or the scheduler-wide default), a
+        With a ``budget`` (a :class:`~repro.lp.solver.SolveBudget`), a
         :class:`~repro.errors.BudgetExceededError` from any LP solve is
-        absorbed by the degradation ladder instead of propagating: the
+        absorbed by the degradation ladder (full pipeline → LPD floor +
+        greedy residual → greedy baseline) instead of propagating: the
         pass falls back to the cheapest rung that still yields a
         feasible integer schedule, marked via ``result.degraded``.
         """
@@ -399,7 +374,6 @@ class Scheduler:
     ) -> ScheduleResult:
         """The scheduling pipeline proper (see :meth:`schedule`)."""
         telemetry = current()
-        budget = budget if budget is not None else self.budget
         if budget is not None:
             budget.ensure_started()
         with telemetry.span("schedule"):
@@ -414,10 +388,7 @@ class Scheduler:
                 # Through the engine memo: a stage-1 LP an admission
                 # probe already solved this tick is replayed verbatim.
                 stage1 = solve_stage1(
-                    structure,
-                    resilience=self.resilience,
-                    budget=budget,
-                    engine=self.engine,
+                    structure, budget=budget, engine=self.engine
                 )
             except BudgetExceededError as exc:
                 # Rung 3: nothing solved; greedy from an empty assignment.
@@ -437,7 +408,7 @@ class Scheduler:
                         stage1.zstar,
                         alpha,
                         weights,
-                        resilience=self.resilience,
+                        resilience=self.engine.resilience,
                         budget=budget,
                     )
                 except BudgetExceededError as exc:

@@ -24,7 +24,6 @@ from ..lp.solver import (
     LinearProgram,
     LPSolution,
     SolveBudget,
-    SolveResilience,
     solve_lp,
 )
 from ..obs import current
@@ -91,7 +90,6 @@ def build_stage1_lp(structure: ProblemStructure) -> LinearProgram:
 
 def solve_stage1(
     structure: ProblemStructure,
-    resilience: SolveResilience | None = None,
     budget: SolveBudget | None = None,
     engine: ModelEngine | None = None,
 ) -> Stage1Result:
@@ -100,29 +98,24 @@ def solve_stage1(
     The problem is always feasible (``x = 0, Z = 0``) and bounded
     (capacities are finite and every job's demand is positive), so this
     never raises for modelling reasons.  Assembly and solve are timed
-    under a ``"stage1"`` telemetry span; ``resilience``
-    (optional) enables :func:`~repro.lp.solver.solve_lp`'s bounded
-    retry / backend-fallback chain; ``budget`` (optional) forwards a
-    :class:`~repro.lp.solver.SolveBudget` deadline to the solve.  With
+    under a ``"stage1"`` telemetry span; ``budget`` (optional) forwards
+    a :class:`~repro.lp.solver.SolveBudget` deadline to the solve.  With
     an ``engine`` the solve goes through
-    :meth:`~repro.engine.ModelEngine.cached_solve` (its ``"stage1"``
-    memo, backend and default resilience), so a stage-1 LP the engine
-    already solved is replayed verbatim.
+    :meth:`~repro.engine.ModelEngine.cached_solve` — its ``"stage1"``
+    memo and its ``resilience`` (the bounded retry / backend-fallback
+    chain) — so a stage-1 LP the engine already solved is replayed
+    verbatim.  Without one it solves once, on the default backend.
     """
     with current().span("stage1"):
         if engine is None:
             solution = solve_lp(
-                build_stage1_lp(structure),
-                label="stage1",
-                resilience=resilience,
-                budget=budget,
+                build_stage1_lp(structure), label="stage1", budget=budget
             )
         else:
             solution = engine.cached_solve(
                 structure,
                 "stage1",
                 lambda: build_stage1_lp(structure),
-                resilience=resilience,
                 budget=budget,
             )
     zstar = float(solution.x[-1])

@@ -9,12 +9,12 @@ what is invariant from what changes:
    ``(od pair, banned edges)``.
 2. **Layout layer** (:class:`~repro.engine.layout.LayoutLayer`) — column
    layouts and constraint blocks, with whole-structure and per-job
-   fragment reuse; :meth:`extend_windows` / :meth:`for_grid` are the
-   incremental rebuild entry points.
-3. **Solve layer** — the backend registry
-   (:mod:`repro.engine.backend`) plus :meth:`cached_solve`'s exact
-   solution memo over engine-built structures.  Every LP that misses
-   the memo is solved cold: no basis or dual hint is passed on.
+   fragment reuse; :meth:`extend_windows` is the incremental rebuild
+   entry point.
+3. **Solve layer** — :meth:`cached_solve`'s exact solution memo over
+   engine-built structures.  Every LP that misses the memo is solved
+   cold on the default HiGHS backend, under the engine's
+   ``resilience``: no basis or dual hint is passed on.
 
 Warm-start semantics
 --------------------
@@ -50,12 +50,11 @@ from ..network.paths import Path
 from ..obs import current
 from ..timegrid import TimeGrid
 from ..workload.jobs import JobSet
-from .backend import get_backend
 from .delta import CarriedPlan
 from .layout import LayoutLayer
 from .topology import TopologyLayer
 
-__all__ = ["ModelEngine", "build_structure"]
+__all__ = ["ModelEngine", "bind_engine", "build_structure"]
 
 Node = Hashable
 
@@ -74,8 +73,6 @@ class ModelEngine:
         references this one graph.
     k_paths:
         Paths resolved per OD pair at the topology layer.
-    backend:
-        Registered backend name used by :meth:`cached_solve`.
     warm_start:
         Enables every reuse layer: the structure and fragment caches,
         the solve-layer memo and the carried plan.  Off, every structure
@@ -89,10 +86,12 @@ class ModelEngine:
     max_cached_solutions:
         LRU bound on memoized solutions.
     resilience:
-        Default retry policy for :meth:`cached_solve` when the call
-        itself passes none — lets a front-end (e.g. the reservation
-        service) make *every* solve routed through its engine
-        resilient, admission probes included.
+        The retry policy of every LP this engine routes: the
+        :meth:`cached_solve` misses (stage 1, SUB-RET probes, admission
+        probes) and the stage-2 solves of a
+        :class:`~repro.core.scheduler.Scheduler` bound to it.  The
+        front-ends take no copy of their own, so one setting governs a
+        whole epoch's chain of LPs.  ``None`` solves each LP once.
 
     All three layers count into the :func:`~repro.obs.current` collector
     (``structure_cache_hits``, ``cold_builds``, ``memo_hits``,
@@ -105,15 +104,12 @@ class ModelEngine:
         network: Network,
         k_paths: int = 4,
         *,
-        backend: str = "highs",
         warm_start: bool = True,
         max_cached_structures: int = 64,
         max_cached_fragments: int = 512,
         max_cached_solutions: int = 256,
         resilience: SolveResilience | None = None,
     ) -> None:
-        get_backend(backend)  # fail fast on unknown names
-        self.backend = backend
         self.warm_start = bool(warm_start)
         self.resilience = resilience
         self.topology = TopologyLayer(network, k_paths)
@@ -200,26 +196,6 @@ class ModelEngine:
             extended, grid, path_sets=path_sets, capacity_profile=profile
         )
 
-    def for_grid(
-        self, structure: ProblemStructure, grid: TimeGrid
-    ) -> ProblemStructure:
-        """``structure``'s instance rebuilt on another grid.
-
-        Reuses the structure's already-resolved paths and re-bases its
-        capacity profile; only the layout actually changes.
-        """
-        path_sets: dict[tuple[Node, Node], Sequence[Path]] = {}
-        for i, job in enumerate(structure.jobs):
-            path_sets.setdefault((job.source, job.dest), structure.paths[i])
-        profile = (
-            structure.capacity_profile.for_grid(grid)
-            if structure.capacity_profile is not None
-            else None
-        )
-        return self.structure(
-            structure.jobs, grid, path_sets=path_sets, capacity_profile=profile
-        )
-
     # ------------------------------------------------------------------
     # Cross-epoch carried state
     # ------------------------------------------------------------------
@@ -285,7 +261,6 @@ class ModelEngine:
         build: Callable[[], LinearProgram],
         *,
         cache: bool = True,
-        resilience: SolveResilience | None = None,
         budget: SolveBudget | None = None,
         label: str | None = None,
     ) -> LPSolution:
@@ -299,7 +274,7 @@ class ModelEngine:
         a ``memo_hits`` telemetry hit.  Structures built outside this
         engine, and calls with ``cache=False`` (e.g. a caller-supplied
         objective the key cannot see), always solve, and every solve
-        starts cold.
+        starts cold under the engine's ``resilience``.
         """
         telemetry = current()
         key = None
@@ -320,14 +295,11 @@ class ModelEngine:
                 # through to a cold solve; make the bypass visible in
                 # telemetry.
                 telemetry.count("engine_memo_bypass")
-        if resilience is None:
-            resilience = self.resilience
         try:
             solution = solve_lp(
                 build(),
-                backend=self.backend,
                 label=label or kind,
-                resilience=resilience,
+                resilience=self.resilience,
                 budget=budget,
             )
         except InfeasibleProblemError:
@@ -353,10 +325,40 @@ class ModelEngine:
 
     def __repr__(self) -> str:
         return (
-            f"ModelEngine(backend={self.backend!r}, k_paths={self.k_paths}, "
+            f"ModelEngine(k_paths={self.k_paths}, "
             f"warm_start={self.warm_start}, "
             f"cached_solutions={len(self._solutions)})"
         )
+
+
+def bind_engine(
+    network: Network,
+    k_paths: int,
+    engine: ModelEngine | None,
+    owner: str,
+    *,
+    warm_start: bool = True,
+) -> ModelEngine:
+    """A front-end's engine: ``engine`` checked against its inputs, or a new one.
+
+    A shared engine (the epoch kernel passes one per ``k_paths``) must be
+    bound to the very ``network`` the front-end plans over and resolve
+    the same ``k_paths``; ``owner`` names the front-end in the error.
+    Without one, a private engine is built (``warm_start`` applies only
+    to it).
+    """
+    if engine is None:
+        return ModelEngine(network, k_paths, warm_start=warm_start)
+    if engine.network is not network:
+        raise ValidationError(
+            f"engine is bound to a different network than {owner}'s"
+        )
+    if engine.k_paths != k_paths:
+        raise ValidationError(
+            f"engine resolves k_paths={engine.k_paths} but {owner} was "
+            f"asked for k_paths={k_paths}"
+        )
+    return engine
 
 
 def build_structure(

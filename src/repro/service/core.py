@@ -64,6 +64,7 @@ from ..control.kernel import (
     EpochKernel,
     EpochOutcome,
     base_action_for,
+    check_journal_safe,
     decode_run_config,
     encode_run_config,
     used_edges,
@@ -132,9 +133,10 @@ class ReservationService:
         Optional per-epoch wall-clock budget for the tick's solves.
     resilience:
         Optional retry policy applied to *every* solve the service
-        issues — the scheduler's stages and the admission probes alike
-        (it becomes the engine-level default).  A transient backend
-        failure then costs a retry, not the whole tick.
+        issues — the scheduler's stages, the RET counter-offers and the
+        admission probes alike (it is set once, on the run's engines).
+        A transient backend failure then costs a retry, not the whole
+        tick.
     crash_injector:
         Deterministic process-death injection at the service crash
         points (:data:`~repro.recovery.crash.SERVICE_CRASH_POINTS`).
@@ -222,16 +224,7 @@ class ReservationService:
         self.journal_fault_injector = journal_fault_injector
         self.stats = ServiceStats()
 
-        if (
-            control_policy is not None
-            and journal is not None
-            and not getattr(control_policy, "journal_safe", False)
-        ):
-            raise ValidationError(
-                "journal= requires a journal-safe control policy "
-                "(FixedPolicy or None); adaptive policies cannot be "
-                "replayed on resume"
-            )
+        check_journal_safe(control_policy, journal)
         self.control_policy = control_policy
         # The shared epoch-control kernel: owns the epoch counter, the
         # fault cursor, crash points, budget restarts, journal commits

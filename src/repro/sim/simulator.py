@@ -34,6 +34,7 @@ from ..control.kernel import (
     EpochKernel,
     EpochOutcome,
     base_action_for,
+    check_journal_safe,
     decode_run_config,
     encode_run_config,
     used_edges as shared_used_edges,
@@ -230,7 +231,7 @@ class Simulation:
     resilience:
         Optional :class:`~repro.lp.solver.SolveResilience` for every LP
         solve in the run, the ``reject`` policy's admission probes
-        included.  Defaults to
+        included; it is set once, on the run's engines.  Defaults to
         :data:`~repro.lp.solver.DEFAULT_RESILIENCE` when a
         ``fault_schedule`` is given (a fault run should not die on a
         transient solver failure) and to single-shot solving otherwise.
@@ -401,18 +402,7 @@ class Simulation:
                 'the "mid-journal" crash point needs a journal= path to tear'
             )
         self.crash_injector = crash_injector
-        if (
-            control_policy is not None
-            and journal is not None
-            and not getattr(control_policy, "journal_safe", False)
-        ):
-            # A resumed run replays without the policy object, so an
-            # adaptive policy would fork the recorded timeline.
-            raise ValidationError(
-                "journal= requires a journal-safe control policy "
-                "(FixedPolicy or None); adaptive policies cannot be "
-                "replayed on resume"
-            )
+        check_journal_safe(control_policy, journal)
         self.control_policy = control_policy
 
     # ------------------------------------------------------------------
@@ -965,7 +955,6 @@ class Simulation:
                 b_max=self.ret_b_max,
                 delta=self.ret_delta,
                 path_sets=path_sets,
-                resilience=self.resilience,
                 budget=budget,
                 engine=engine,
             )

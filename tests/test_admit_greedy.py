@@ -119,13 +119,8 @@ class TestProbesGoThroughTheEngineMemo:
         from repro.verify.fuzz import make_scenario
 
         if bypass_memo:
-            def solve_stage1(structure, resilience=None, budget=None,
-                             engine=None):
-                if engine is not None:
-                    resilience = engine.resilience
-                return throughput.solve_stage1(
-                    structure, resilience=resilience, budget=budget
-                )
+            def solve_stage1(structure, budget=None, engine=None):
+                return throughput.solve_stage1(structure, budget=budget)
 
             monkeypatch.setattr(admission, "solve_stage1", solve_stage1)
         scenario = make_scenario(0)

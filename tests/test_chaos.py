@@ -39,6 +39,7 @@ from repro.chaos import (
     parse_chaos_spec,
     run_chaos,
 )
+from repro.engine import ModelEngine
 from repro.engine.backend import get_backend
 from repro.errors import JournalWriteError
 from repro.lp.solver import DEFAULT_RESILIENCE, SolveResilience
@@ -196,9 +197,9 @@ class TestFaultyBackend:
         clean = Scheduler(net).schedule(jobs, grid)
         faults = (BackendFault("raise", 0), BackendFault("timeout", 2))
         with install_faulty_backend(faults) as backend:
-            result = Scheduler(net, resilience=NO_PERTURB).schedule(
-                jobs, grid
-            )
+            result = Scheduler(
+                net, engine=ModelEngine(net, 4, resilience=NO_PERTURB)
+            ).schedule(jobs, grid)
         assert backend.injected == 2
         assert backend.calls > 2
         # Zero-perturbation retries heal to the identical solution.
