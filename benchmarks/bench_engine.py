@@ -3,23 +3,23 @@
 The engine (``docs/architecture.md``) promises that reuse across
 related solves — cached paths, per-job layout fragments, exact-hit and
 cloned structures, memoized LP solutions keyed on the *discretized*
-instance and carried cross-epoch plans — makes the RET binary-search
-probe loop and the periodic controller measurably faster while
-changing nothing about the answers.  This benchmark pins both halves
-of that claim:
+instance — makes the RET binary-search probe loop measurably faster
+while changing nothing about the answers, in the probe loop and in the
+periodic controller.  This benchmark pins that claim:
 
 * **RET probe loop** — an overloaded calibrated workload forces a full
   bisection on ``b``; the warm engine must be at least
   ``RET_SPEEDUP_FLOOR``× faster than a ``warm_start=False`` engine
   *and* return the identical extension and assignment.
 * **Multi-epoch simulate (Abilene)** — the controller re-plans a
-  book-ahead reservation workload every epoch.  Warm must be at least
-  ``SIM_SPEEDUP_FLOOR``× faster, every epoch after the first must
-  certify RET's bounds from the carried plan (``ret_witness_hits``),
-  and the runs must serialize identically.
+  book-ahead reservation workload every epoch.  Warm and cold runs
+  must serialize identically, and no epoch whose RET search settles
+  below ``b_max`` may solve the ``b_max`` bound (Algorithm 2 solves
+  that LP only when the search ends there).  The warm/cold ratio is
+  recorded, not gated: once the bound is not solved eagerly, both
+  sides do nearly the same work (about 1.1×).
 * **Multi-epoch simulate (100-node Waxman)** — the same controller
-  loop at research-backbone scale, gating that cross-epoch reuse
-  survives a network an order of magnitude larger than Abilene.
+  loop and gates at research-backbone scale.
 
 Warm and cold runs alternate in one process, ``PAIRS`` of each, and a
 case's speedup is the median of its per-pair ``cold / warm`` ratios:
@@ -62,16 +62,6 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 #: Acceptance floor for the RET probe-loop case.
 RET_SPEEDUP_FLOOR = 1.5
-#: Acceptance floor for the Abilene multi-epoch simulate case: with
-#: cached structures, the solve memo and carried plans the controller
-#: loop must be at least twice as fast warm as cold, so a regression
-#: back to rebuild-and-resolve-everything fails CI instead of hiding
-#: inside a tolerance.
-SIM_SPEEDUP_FLOOR = 2.0
-#: The Waxman scale case gates more conservatively: the network is an
-#: order of magnitude larger, so path resolution and LP solves dominate
-#: differently, but cross-epoch reuse must still pay for itself.
-WAXMAN_SPEEDUP_FLOOR = 1.5
 
 #: Overloaded calibration: Z* < 1 forces RET to genuinely extend.
 RET_NUM_JOBS = 18
@@ -86,11 +76,8 @@ RET_SLICE_LENGTH = 0.5
 SIM_NUM_JOBS = 10
 #: Windows are booked this many slices ahead of submission.  Advance
 #: reservation is the paper's operating model for research-network bulk
-#: transfers, and it is exactly the regime that exposed the cross-epoch
-#: cache miss: every pre-window epoch re-plans a near-identical residual,
-#: so a warm engine should answer from carried state (witness-certified
-#: RET bounds, memoized zero probes, cached or cloned structures) while
-#: a cold one rebuilds and re-solves the same LPs from scratch.
+#: transfers: every pre-window epoch re-plans a near-identical residual,
+#: which RET settles at ``b = 0`` with a single SUB-RET probe.
 SIM_BOOKAHEAD_SLICES = 12
 SIM_CONFIG = WorkloadConfig(
     size_low=30.0,
@@ -112,13 +99,12 @@ WAXMAN_CONFIG = WorkloadConfig(
 )
 
 #: Counters surfaced per epoch by the simulator's ``epoch_cache_stats``
-#: telemetry records; the bench gates on ``ret_witness_hits``.
+#: telemetry records.
 _EPOCH_COUNTERS = (
     "structure_cache_hits",
     "structure_patch_hits",
     "cold_builds",
     "memo_hits",
-    "ret_witness_hits",
 )
 
 
@@ -142,6 +128,34 @@ def _waxman_instance():
     generator = WorkloadGenerator(network, config=WAXMAN_CONFIG, seed=SEED)
     jobs = booked_ahead(generator, WAXMAN_NUM_JOBS, 4, WAXMAN_BOOKAHEAD_SLICES)
     return network, jobs
+
+
+def _bound_probes(records, b_max: float) -> int:
+    """How many ``ret_probe`` records solved the ``b_max`` bound."""
+    return sum(
+        1 for rec in records
+        if rec["kind"] == "ret_probe" and rec["phase"] == "bounds"
+        and rec["b"] == b_max
+    )
+
+
+def _assert_no_eager_bound(case: str, searches, b_max: float) -> None:
+    """Gate: no RET search that settles below ``b_max`` solves ``b_max``.
+
+    ``searches`` holds ``{"ret_b_hat", "ret_bound_probes"}`` entries
+    (``ret_b_hat`` is None where no search ran or it raised).  At least
+    one search must settle below ``b_max``, or the gate checks nothing.
+    """
+    settled = [
+        s for s in searches
+        if s["ret_b_hat"] is not None and s["ret_b_hat"] < b_max
+    ]
+    assert settled, f"{case}: no RET search settled below b_max={b_max}"
+    for entry in settled:
+        assert entry["ret_bound_probes"] == 0, (
+            f"{case}: a search settling at b_hat={entry['ret_b_hat']} "
+            f"solved the b_max={b_max} bound: {entry}"
+        )
 
 
 def _timed_pairs(cold_fn, warm_fn):
@@ -185,6 +199,12 @@ def _case_ret_probe_loop():
     telemetry = Telemetry()
     run(True, telemetry)
     counters = telemetry.counters
+    bound_probes = _bound_probes(telemetry.records, RET_B_MAX)
+    _assert_no_eager_bound(
+        "ret_probe_loop_abilene",
+        [{"ret_b_hat": warm.b_hat, "ret_bound_probes": bound_probes}],
+        RET_B_MAX,
+    )
     return {
         **timing,
         "metrics": {
@@ -192,6 +212,7 @@ def _case_ret_probe_loop():
             "b_final": round(float(warm.b_final), 9),
             "delta_steps": int(warm.delta_steps),
             "ret_probes": int(counters.get("ret_probes", 0)),
+            "ret_bound_probes": bound_probes,
             "memo_hits": int(counters.get("memo_hits", 0)),
             "engine_solves": int(counters.get("engine_solves", 0)),
             "structure_patch_hits": int(
@@ -209,8 +230,9 @@ def _simulate_case(network, jobs):
     """Warm vs cold multi-epoch controller run over one instance.
 
     The timed runs carry no telemetry (measuring the engine, not the
-    collector); a separate instrumented warm run then captures counters
-    and the per-epoch ``epoch_cache_stats`` evidence — a fresh run,
+    collector); a separate instrumented warm run then captures counters,
+    the per-epoch ``epoch_cache_stats`` records and each epoch's RET
+    search (its ``b_hat`` and ``b_max`` bound probes) — a fresh run,
     because repeating a timed one would duplicate its epoch records.
     """
     timing, cold, warm = _timed_pairs(
@@ -227,21 +249,27 @@ def _simulate_case(network, jobs):
         "warm and cold simulations diverged"
     )
 
+    simulation = Simulation(network, policy="extend", warm_start=True)
     with Telemetry() as telemetry:
-        Simulation(network, policy="extend", warm_start=True).run(jobs)
-    per_epoch = [
-        {name: int(rec[name]) for name in _EPOCH_COUNTERS}
-        | {"epoch": int(rec["epoch"])}
-        for rec in telemetry.records_of("epoch_cache_stats")
-    ]
-    # Structural evidence the speedup rests on: every epoch after the
-    # first certifies RET's bounds from the plan the previous epoch
-    # committed, instead of solving the b_max probe.
-    for entry in per_epoch[1:]:
-        assert entry["ret_witness_hits"] > 0, (
-            f"epoch {entry['epoch']} certified no RET bound from the "
-            f"carried plan: {entry}"
+        simulation.run(jobs)
+    b_max = simulation.ret_b_max
+    # An epoch's RET records precede its epoch_cache_stats record.
+    per_epoch, epoch_records = [], []
+    for rec in telemetry.records:
+        if rec["kind"] != "epoch_cache_stats":
+            epoch_records.append(rec)
+            continue
+        results = [r for r in epoch_records if r["kind"] == "ret_result"]
+        per_epoch.append(
+            {name: int(rec[name]) for name in _EPOCH_COUNTERS}
+            | {
+                "ret_b_hat": results[-1]["b_hat"] if results else None,
+                "ret_bound_probes": _bound_probes(epoch_records, b_max),
+                "epoch": int(rec["epoch"]),
+            }
         )
+        epoch_records = []
+    _assert_no_eager_bound(f"simulate ({network.name})", per_epoch, b_max)
 
     counters = telemetry.counters
     return {
@@ -258,7 +286,10 @@ def _simulate_case(network, jobs):
             ),
             "cold_builds": int(counters.get("cold_builds", 0)),
             "memo_hits": int(counters.get("memo_hits", 0)),
-            "ret_witness_skips": int(counters.get("ret_witness_skips", 0)),
+            "ret_probes": int(counters.get("ret_probes", 0)),
+            "ret_bound_probes": sum(
+                e["ret_bound_probes"] for e in per_epoch
+            ),
             "engine_memo_bypass": int(counters.get("engine_memo_bypass", 0)),
             "path_cache_hits": int(counters.get("path_cache_hits", 0)),
             "layout_fragment_hits": int(
@@ -288,8 +319,6 @@ def run_engine_bench() -> dict:
         "suite": "engine-speedup",
         "pairs": PAIRS,
         "target_ret_speedup": RET_SPEEDUP_FLOOR,
-        "target_sim_speedup": SIM_SPEEDUP_FLOOR,
-        "target_waxman_speedup": WAXMAN_SPEEDUP_FLOOR,
         "versions": bench_versions(scipy=scipy.__version__),
         "cases": {
             "ret_probe_loop_abilene": _case_ret_probe_loop(),
@@ -331,8 +360,6 @@ def test_engine_speedup(report):
     report(_as_table(document))
 
     _assert_floor(document, "ret_probe_loop_abilene", RET_SPEEDUP_FLOOR)
-    _assert_floor(document, "simulate_epochs_abilene", SIM_SPEEDUP_FLOOR)
-    _assert_floor(document, "simulate_epochs_waxman100", WAXMAN_SPEEDUP_FLOOR)
 
 
 if __name__ == "__main__":

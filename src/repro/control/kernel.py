@@ -95,7 +95,6 @@ CACHE_COUNTERS = (
     "structure_patch_hits",
     "cold_builds",
     "memo_hits",
-    "ret_witness_hits",
 )
 
 
@@ -431,8 +430,8 @@ class EpochKernel:
     state (virtual time ``now``, ``epoch`` counter, ``fault_idx``
     cursor), the per-epoch contract (``observe`` / ``decide`` /
     ``plan`` / ``deliver`` / ``commit`` / ``advance``), crash points,
-    solve-budget restarts, fault detection with carried-plan
-    invalidation, and the per-action planner cache.
+    solve-budget restarts, fault detection, and the per-action planner
+    cache.
 
     Each epoch plans on what the controller can see at ``now`` and
     delivers what the network really carried.  :meth:`grid_for` is the
@@ -568,8 +567,7 @@ class EpochKernel:
 
     # -- faults ---------------------------------------------------------
     def detect_faults(self) -> FaultDetection:
-        """Advance the fault cursor to ``now``; invalidate carried plans
-        on strikes.
+        """Advance the fault cursor to ``now``.
 
         Returns the newly seen events and the affected (lost-capacity)
         edges.  Without a fault schedule this is a constant-time no-op.
@@ -579,12 +577,6 @@ class EpochKernel:
         self.fault_idx, detection = advance_fault_cursor(
             self.fault_schedule, self.fault_idx, self.now
         )
-        if detection.affected:
-            # Carried plans routed before the fault are poor witnesses
-            # after it: their feasibility certificates were built on the
-            # pre-fault route set.
-            for engine in self._engines.values():
-                engine.invalidate_carried()
         return detection
 
     # -- the epoch's view of the network --------------------------------

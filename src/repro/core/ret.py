@@ -37,7 +37,6 @@ from ..lp.solver import (
 from ..obs import current
 from ..network.graph import Network
 from ..network.paths import Path
-from ..timegrid import TimeGrid
 from ..workload.jobs import JobSet
 from .lpdar import GreedyOrder, LpdarResult, lpdar
 from .metrics import COMPLETION_TOL, average_end_time, fraction_finished
@@ -62,12 +61,6 @@ Node = Hashable
 #: Number of extra whole-``delta`` steps allowed past ``b_max`` before
 #: Algorithm 2 gives up (safety valve; never reached in practice).
 MAX_EXTRA_DELTA_STEPS = 1
-
-#: Stand-in for a bounds probe whose feasibility was certified by the
-#: engine's carried-plan witness instead of solved.  Only ever compared
-#: by identity; if the binary search finishes with the sentinel still
-#: selected, the probe is lazily solved for real before rounding.
-_WITNESS = object()
 
 
 def quick_finish_gamma(slice_index: np.ndarray) -> np.ndarray:
@@ -206,8 +199,9 @@ def solve_ret(
     k_paths:
         Allowed paths per job.
     b_max:
-        Upper end of the binary-search interval.  If SUB-RET is still
-        LP-infeasible at ``b_max``, a :class:`ScheduleError` is raised.
+        Upper end of the binary-search interval.  Its LP is solved only
+        when no smaller probe is feasible; if SUB-RET is LP-infeasible
+        there too, a :class:`ScheduleError` is raised.
     delta:
         Step-4 increment applied when the rounded (integer) solution
         fails to complete every job (paper default 0.1).
@@ -254,8 +248,8 @@ def solve_ret(
         When no ``engine`` is supplied, whether the private engine may
         reuse layouts and memoize probe solves (results are identical
         either way; ``False`` — the CLI's ``--no-warm-start`` — forces
-        the fully from-scratch audit path).  Ignored when ``engine`` is
-        given.
+        the fully from-scratch audit path).  ``False`` with a warm
+        ``engine`` raises :class:`~repro.errors.ValidationError`.
 
     Raises
     ------
@@ -296,7 +290,7 @@ def solve_ret(
         """Structure + LP solution at extension ``b``, or None if infeasible.
 
         ``phase`` labels the probe's role in the algorithm (``"bounds"``
-        for the b_max / 0 endpoint checks, ``"search"`` for bisection,
+        for the 0 / b_max endpoint checks, ``"search"`` for bisection,
         ``"delta"`` for integer-completion nudges) so the telemetry
         trace distinguishes them.
         """
@@ -339,83 +333,38 @@ def solve_ret(
         )
         return structure, solution
 
-    def witness_certified() -> bool:
-        """Can the engine's carried plan vouch for feasibility at b_max?
-
-        Only applies without a capacity profile: the witness certifies
-        against installed capacities, which is exactly what the SUB-RET
-        LP uses when no profile is attached (fault epochs constrain RET
-        through banned ``path_sets``, which certification re-checks per
-        grant).  A certificate is an explicit feasible point, so the
-        probe's *outcome* is known; its LP solution is only computed
-        later if the rounding step actually needs it.
-        """
-        if capacity_profile is not None or not engine.has_carried_plan:
-            return False
-        extended = (
-            jobs.with_extended_intervals(b_max)
-            if mode == "interval"
-            else jobs.with_extended_ends(b_max)
-        )
-        grid = TimeGrid.covering(extended.max_end(), slice_length)
-        return engine.certify_feasible(extended, grid, path_sets)
-
     with telemetry.span("ret"):
-        # Step 1: binary search for the smallest LP-feasible b.  The
-        # b_max endpoint exists only to fail fast on truly uncarriable
-        # demand — its solution is discarded whenever any smaller b is
-        # feasible — so a carried-plan certificate stands in for the
-        # whole build-and-solve.
-        upper_attempt: tuple[ProblemStructure, LPSolution] | object | None
-        if witness_certified():
-            if budget is not None:
-                budget.check("ret_probe")
-            upper_attempt = _WITNESS
-            telemetry.count("ret_witness_skips")
-            telemetry.record(
-                "ret_probe",
-                phase="bounds",
-                b=b_max,
-                feasible=True,
-                num_cols=0,
-                iterations=0,
-                witness=True,
-            )
-        else:
-            upper_attempt = attempt(b_max, "bounds")
-            if upper_attempt is None:
-                raise ScheduleError(
-                    f"SUB-RET is infeasible even with end times extended by "
-                    f"(1 + {b_max}); the network cannot carry this demand"
-                )
-        zero_attempt = attempt(0.0, "bounds")
-        if zero_attempt is not None:
+        # Step 1: binary search for the smallest LP-feasible b.  b = 0
+        # is probed first; the b_max end matters only if every smaller
+        # probe fails, so it is solved only when the search ends there.
+        best = attempt(0.0, "bounds")
+        if best is not None:
             b_hat = 0.0
-            best = zero_attempt
         else:
             lo, hi = 0.0, b_max
-            best = upper_attempt
             while hi - lo > search_tol:
                 mid = 0.5 * (lo + hi)
                 result = attempt(mid, "search")
                 if result is None:
                     lo = mid
                 else:
-                    hi = mid
-                    best = result
+                    hi, best = mid, result
             b_hat = hi
+            if best is None:
+                # No probe below b_max was feasible: hi is still b_max.
+                best = attempt(b_max, "bounds")
+                if best is None:
+                    raise ScheduleError(
+                        f"SUB-RET is infeasible even with end times extended "
+                        f"by (1 + {b_max}); the network cannot carry this "
+                        f"demand"
+                    )
 
         # Steps 2-5: round with LPDAR; extend by delta until all jobs finish.
         b = b_hat
-        candidate: tuple[ProblemStructure, LPSolution] | object | None = best
+        candidate: tuple[ProblemStructure, LPSolution] | None = best
         delta_steps = 0
         while True:
-            if candidate is _WITNESS:
-                # The witness certified this b feasible but skipped its
-                # solve; the candidate became the rounding point after
-                # all, so solve the identical LP now (same structure,
-                # same optimum — the certificate only deferred it).
-                candidate = attempt(b, "bounds")
             if candidate is not None:
                 structure, lp_solution = candidate
                 rounded = lpdar(

@@ -351,28 +351,6 @@ class Scheduler:
         pass falls back to the cheapest rung that still yields a
         feasible integer schedule, marked via ``result.degraded``.
         """
-        result = self._schedule(
-            jobs, grid, weights, capacity_profile, path_sets, budget
-        )
-        # Committed schedules seed the engine's cross-epoch carried
-        # state: the integer LPDAR plan is capacity-feasible by
-        # construction (degraded rungs included), so the next epoch's
-        # RET bounds probe can try it as a feasibility witness before
-        # paying a real solve.  A ScheduleError propagates past this
-        # point, leaving any previous carried plan in place.
-        self.engine.carry_plan(result.structure, result.x)
-        return result
-
-    def _schedule(
-        self,
-        jobs: JobSet,
-        grid: TimeGrid | None,
-        weights: np.ndarray | None,
-        capacity_profile,
-        path_sets: Mapping[tuple[Node, Node], Sequence[Path]] | None,
-        budget: SolveBudget | None,
-    ) -> ScheduleResult:
-        """The scheduling pipeline proper (see :meth:`schedule`)."""
         telemetry = current()
         if budget is not None:
             budget.ensure_started()

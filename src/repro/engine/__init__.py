@@ -15,7 +15,6 @@ from .backend import (
     get_backend,
     register_backend,
 )
-from .delta import CarriedPlan
 from .engine import ModelEngine, build_structure
 from .layout import FragmentCache, LayoutLayer, patch_structure
 from .topology import TopologyLayer
@@ -26,7 +25,6 @@ __all__ = [
     "TopologyLayer",
     "LayoutLayer",
     "FragmentCache",
-    "CarriedPlan",
     "patch_structure",
     "SolverBackend",
     "HighsBackend",

@@ -50,7 +50,6 @@ from ..network.paths import Path
 from ..obs import current
 from ..timegrid import TimeGrid
 from ..workload.jobs import JobSet
-from .delta import CarriedPlan
 from .layout import LayoutLayer
 from .topology import TopologyLayer
 
@@ -74,11 +73,11 @@ class ModelEngine:
     k_paths:
         Paths resolved per OD pair at the topology layer.
     warm_start:
-        Enables every reuse layer: the structure and fragment caches,
-        the solve-layer memo and the carried plan.  Off, every structure
-        is built and every LP solved from scratch — the baseline the
-        benchmarks compare against and what the CLI ``--no-warm-start``
-        flag selects (results are identical either way; see the module
+        Enables every reuse layer: the structure and fragment caches
+        and the solve-layer memo.  Off, every structure is built and
+        every LP solved from scratch — the baseline the benchmarks
+        compare against and what the CLI ``--no-warm-start`` flag
+        selects (results are identical either way; see the module
         docstring).
     max_cached_structures, max_cached_fragments:
         Layout-layer LRU bounds (see
@@ -125,7 +124,6 @@ class ModelEngine:
             )
         self.max_cached_solutions = int(max_cached_solutions)
         self._solutions: OrderedDict[tuple, object] = OrderedDict()
-        self._carried: CarriedPlan | None = None
 
     @property
     def network(self) -> Network:
@@ -197,61 +195,6 @@ class ModelEngine:
         )
 
     # ------------------------------------------------------------------
-    # Cross-epoch carried state
-    # ------------------------------------------------------------------
-    def carry_plan(self, structure: ProblemStructure, x) -> None:
-        """Carry a committed schedule into the next epoch's solves.
-
-        The scheduler calls this after every successful pass.  The plan
-        (in absolute time) becomes a feasibility *witness*: RET's next
-        ``b_max`` bounds probe can skip its build-and-solve entirely
-        when :meth:`certify_feasible` maps the plan onto the candidate
-        instance (see :class:`~repro.engine.delta.CarriedPlan`).  A
-        no-op on cold engines — the audit path carries nothing.
-        """
-        if not self.warm_start:
-            return
-        self._carried = CarriedPlan.from_assignment(structure, x)
-        current().count("plans_carried")
-
-    @property
-    def has_carried_plan(self) -> bool:
-        return self._carried is not None
-
-    def invalidate_carried(self) -> None:
-        """Drop the carried plan (fault events must bust carried state).
-
-        Certification re-validates paths and capacities on every use, so
-        this is defense in depth rather than a correctness requirement —
-        but a plan drawn before a fault is a poor witness after one, and
-        dropping it keeps the fault epoch on the honest cold path.
-        """
-        if self._carried is not None:
-            self._carried = None
-            current().count("carried_invalidations")
-
-    def certify_feasible(
-        self,
-        jobs: JobSet,
-        grid: TimeGrid,
-        path_sets: Mapping[tuple[Node, Node], Sequence[Path]],
-    ) -> bool:
-        """Prove (or fail to prove) SUB-RET feasibility from carried state.
-
-        Sound, never complete: ``True`` means the carried plan maps to
-        an explicit feasible point of the instance's SUB-RET LP, so the
-        probe's outcome is known without solving; ``False`` means
-        nothing — the caller solves as it always did.
-        """
-        if not self.warm_start or self._carried is None:
-            return False
-        ok = self._carried.certifies(
-            self.network, jobs, grid, path_sets, self.k_paths
-        )
-        current().count("ret_witness_hits" if ok else "ret_witness_misses")
-        return ok
-
-    # ------------------------------------------------------------------
     # Solve layer
     # ------------------------------------------------------------------
     def cached_solve(
@@ -321,7 +264,6 @@ class ModelEngine:
         self.topology.clear()
         self.layout.clear()
         self._solutions.clear()
-        self._carried = None
 
     def __repr__(self) -> str:
         return (
@@ -344,11 +286,17 @@ def bind_engine(
     A shared engine (the epoch kernel passes one per ``k_paths``) must be
     bound to the very ``network`` the front-end plans over and resolve
     the same ``k_paths``; ``owner`` names the front-end in the error.
-    Without one, a private engine is built (``warm_start`` applies only
-    to it).
+    Without one, a private engine is built with ``warm_start``.
+    ``warm_start=False`` next to a warm shared engine contradicts itself
+    (the engine would memoize anyway), so that pair is rejected.
     """
     if engine is None:
         return ModelEngine(network, k_paths, warm_start=warm_start)
+    if not warm_start and engine.warm_start:
+        raise ValidationError(
+            f"{owner} was asked for warm_start=False but given a warm "
+            f"engine; pass ModelEngine(..., warm_start=False) instead"
+        )
     if engine.network is not network:
         raise ValidationError(
             f"engine is bound to a different network than {owner}'s"

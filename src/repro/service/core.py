@@ -20,10 +20,8 @@ Robustness layers, in tick order:
 * **Decision deadlines.**  The whole tick — admission probe,
   negotiation, epoch schedule — runs under one
   :class:`~repro.lp.solver.SolveBudget` restarted per epoch.  If the
-  budget dies mid-admission, requests whose probe never ran get a
-  deterministic fallback verdict: the engine's
-  :meth:`~repro.engine.engine.ModelEngine.certify_feasible` witness
-  check (sound, never complete) may prove them safe; otherwise they are
+  budget dies mid-admission, exactly the prefix already proven
+  admissible is accepted and every other request in the batch is
   rejected with :data:`~repro.service.requests.REASON_DEADLINE`.
   Already-committed reservations are never voided on degraded
   evidence.  The epoch schedule itself rides the PR-4 degradation
@@ -408,9 +406,9 @@ class ReservationService:
     def _detect_faults(self, now: float, transitions: list[dict]) -> None:
         """Advance the fault cursor; void reservations on broken paths.
 
-        The cursor advance and carried-plan invalidation are the
-        kernel's (shared with the simulator); voiding broken
-        commitments into renegotiation is the service's own reaction.
+        The cursor advance is the kernel's (shared with the simulator);
+        voiding broken commitments into renegotiation is the service's
+        own reaction.
         """
         detection = self._kernel.detect_faults()
         if not detection.affected:
@@ -613,21 +611,13 @@ class ReservationService:
                 self._accept(entry, job, epoch, decisions)
                 continue
             if decision.degraded:
-                # Budget died before this request's probe: fall back to
-                # the sound feasibility witness, then a deterministic
-                # reject — never an unproven accept, never a stall.
-                probe = JobSet(committed_jobs + [job])
-                witness = engine.certify_feasible(
-                    probe, grid,
-                    path_sets or engine.topology.path_sets(probe.od_pairs()),
-                )
+                # Budget died before this request was proven admissible:
+                # a deterministic reject — never an unproven accept,
+                # never a stall.
                 degraded_mark[key] = True
-                if witness:
-                    self._accept(entry, job, epoch, decisions)
-                else:
-                    self._record(decisions, Rejected(
-                        entry["id"], epoch, REASON_DEADLINE
-                    ))
+                self._record(decisions, Rejected(
+                    entry["id"], epoch, REASON_DEADLINE
+                ))
                 continue
             negotiate.append(entry)
 

@@ -630,9 +630,8 @@ class Simulation:
     def _arrivals_and_faults(self, run: _Run) -> frozenset[int]:
         """Activate the jobs that arrived by now and detect new faults.
 
-        The kernel advances the fault cursor (dropping any carried plan
-        whose feasibility certificate predates a strike); the raw
-        timeline events become the simulator's detection log.  Returns
+        The kernel advances the fault cursor; the raw timeline events
+        become the simulator's detection log.  Returns
         the edges whose capacity a new fault cut.
         """
         now, events = run.kernel.now, run.events

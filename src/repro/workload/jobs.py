@@ -213,7 +213,13 @@ class JobSet(Sequence[Job]):
         return JobSet(j.scaled(factor) for j in self._jobs)
 
     def with_extended_ends(self, b: float) -> "JobSet":
-        """New set with every end time stretched by ``(1 + b)`` (RET)."""
+        """Set with every end time stretched by ``(1 + b)`` (RET).
+
+        ``b == 0`` returns this set itself: ``(1 + 0) * end == end``
+        bitwise, so a copy would hold equal jobs.
+        """
+        if b == 0.0:
+            return self
         return JobSet(j.with_extended_end(b) for j in self._jobs)
 
     def with_extended_intervals(self, b: float) -> "JobSet":

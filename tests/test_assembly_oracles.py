@@ -2,10 +2,10 @@
 
 Every LP family's HiGHS arrays, Algorithm 1's tables and the cold
 build's capacity block are built once per structure now, and
-``LinearProgram`` validation, the post-solve check and the carried-plan
-witness run fewer NumPy calls.  This file keeps the replaced code as
-reference implementations (``_ref_*``) and compares the new code with
-it bitwise, under Hypothesis over :func:`~repro.verify.fuzz.make_scenario`:
+``LinearProgram`` validation and the post-solve check run fewer NumPy
+calls.  This file keeps the replaced code as reference implementations
+(``_ref_*``) and compares the new code with it bitwise, under
+Hypothesis over :func:`~repro.verify.fuzz.make_scenario`:
 
 * the capacity and demand blocks of a cold build;
 * ``greedy_adjust`` in all three orders, with and without
@@ -13,8 +13,7 @@ it bitwise, under Hypothesis over :func:`~repro.verify.fuzz.make_scenario`:
 * the arrays handed to HiGHS for stage 1, every alpha of stage 2 and
   SUB-RET (``_stacked_rows``, cost, column and row bounds);
 * ``_passes_linprog_check`` at NaN, ``±inf`` and at ``±tol``;
-* ``LinearProgram``'s rejections (same exception type and message);
-* ``CarriedPlan.from_assignment`` and ``certifies``.
+* ``LinearProgram``'s rejections (same exception type and message).
 
 A recorded run of golden sim 0 and serve 0 then shows that every HiGHS
 load gets the same arrays, values and dtypes, as with the reference
@@ -36,17 +35,14 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import repro.engine.backend as backend_mod
-import repro.engine.engine as engine_mod
 import repro.lp.solver as solver
 from repro import Simulation
 from repro.core import ret as ret_mod
 from repro.core import stage2 as stage2_mod
 from repro.core import throughput as throughput_mod
-from repro.core.scheduler import Scheduler
 from repro.core.stage2 import build_stage2_lp, objective_weights
 from repro.core.throughput import build_stage1_lp, solve_stage1
 from repro.engine.assembly import append_column
-from repro.engine.delta import CarriedPlan
 from repro.errors import (
     InfeasibleProblemError,
     SolverError,
@@ -55,13 +51,10 @@ from repro.errors import (
 )
 from repro.lp.model import ProblemStructure
 from repro.lp.solver import HighsRun, LinearProgram
-from repro.network.paths import build_path_sets
 from repro.obs import current
 from repro.service import ReservationService
 from repro.service.driver import ClosedLoopDriver
-from repro.timegrid import TimeGrid
 from repro.verify.fuzz import make_scenario
-from repro.workload.jobs import Job, JobSet
 
 lpdar_mod = importlib.import_module("repro.core.lpdar")
 
@@ -365,93 +358,6 @@ def _ref_validate(objective, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
     return lo.copy(), hi.copy()
 
 
-class _RefCarriedPlan:
-    """The replaced carried plan: NumPy edge arrays and a dense load grid."""
-
-    def __init__(self, grants):
-        self.grants = grants
-
-    @classmethod
-    def from_assignment(cls, structure, x):
-        x = np.asarray(x, dtype=float)
-        grid = structure.grid
-        grants = []
-        for c in np.flatnonzero(x > 1e-9):
-            i = int(structure.col_job[c])
-            path = structure.paths[i][int(structure.col_path[c])]
-            j = int(structure.col_slice[c])
-            grants.append((
-                structure.jobs[i].id, tuple(path.edge_ids),
-                np.asarray(path.edge_ids, dtype=np.int64),
-                float(grid.slice_start(j)), float(grid.lengths[j]), float(x[c]),
-            ))
-        return cls(grants)
-
-    def certifies(self, network, jobs, grid, path_sets, k_paths):
-        eps = feas = 1e-9
-        lengths = grid.lengths
-        slice_len = float(lengths[0])
-        if np.any(np.abs(lengths - slice_len) > eps):
-            return False
-        caps = network.capacities().astype(float)
-        rate = float(network.wavelength_rate)
-        live = {}
-        for job in jobs:
-            window = grid.window_slices(job.start, job.end)
-            if len(window) == 0:
-                return False
-            pset = list(path_sets.get((job.source, job.dest)) or ())[:k_paths]
-            if not pset:
-                return False
-            keys, allowed = set(), []
-            for p in pset:
-                keys.add(tuple(p.edge_ids))
-                allowed.append(np.asarray(p.edge_ids, dtype=np.int64))
-            live[job.id] = (window, keys, allowed, job.size / rate)
-        loads = np.zeros((network.num_edges, grid.num_slices))
-        delivered = dict.fromkeys(live, 0.0)
-        grid_start = float(grid.start)
-        for job_id, key, edges, t, length, value in self.grants:
-            info = live.get(job_id)
-            if info is None:
-                continue
-            window, keys, _, _ = info
-            if abs(length - slice_len) > eps:
-                continue
-            rel = (t - grid_start) / slice_len
-            j = int(round(rel))
-            if abs(rel - j) > eps or not 0 <= j < grid.num_slices:
-                continue
-            if not window.start <= j < window.stop:
-                continue
-            if key not in keys:
-                continue
-            loads[edges, j] += value
-            delivered[job_id] += value * slice_len
-        if np.any(loads > caps[:, None] + feas):
-            return False
-        for job in jobs:
-            window, _, allowed, demand = live[job.id]
-            need = demand - delivered[job.id]
-            if need <= feas:
-                continue
-            for j in window:
-                for edges in allowed:
-                    avail = float((caps[edges] - loads[edges, j]).min())
-                    if avail <= 0.0:
-                        continue
-                    take_vol = min(avail * slice_len, need)
-                    loads[edges, j] += take_vol / slice_len
-                    need -= take_vol
-                    if need <= feas:
-                        break
-                if need <= feas:
-                    break
-            if need > feas:
-                return False
-        return True
-
-
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
@@ -712,45 +618,6 @@ class TestLinearProgramRejections:
 
 
 # ----------------------------------------------------------------------
-# The carried-plan witness
-# ----------------------------------------------------------------------
-class TestCarriedPlan:
-    @SETTINGS
-    @given(
-        seed=seeds,
-        shrink=st.floats(0.0, 1.5),
-        shift=st.integers(0, 2),
-        drop_paths=st.booleans(),
-        k_paths=st.integers(1, 3),
-    )
-    def test_same_grants_and_certificates(self, seed, shrink, shift,
-                                          drop_paths, k_paths):
-        scenario = make_scenario(seed, allow_faults=False)
-        network = scenario.network
-        result = Scheduler(network, k_paths=3).schedule(
-            scenario.jobs, scenario.grid
-        )
-        structure, x = result.structure, result.x
-        new = CarriedPlan.from_assignment(structure, x)
-        ref = _RefCarriedPlan.from_assignment(structure, x)
-        assert [(g[0], g[1], *g[3:]) for g in ref.grants] == new.grants
-
-        # The next epoch: later windows, residual sizes, maybe fewer routes.
-        jobs = JobSet(
-            Job(id=job.id, source=job.source, dest=job.dest,
-                size=job.size * shrink + 1e-3, start=job.start + shift,
-                end=job.end + shift)
-            for job in scenario.jobs
-        )
-        grid = TimeGrid.uniform(scenario.grid.num_slices + 2 * shift + 1)
-        path_sets = build_path_sets(network, jobs.od_pairs(), 3)
-        if drop_paths:
-            path_sets = {pair: paths[1:] for pair, paths in path_sets.items()}
-        assert new.certifies(network, jobs, grid, path_sets, k_paths) == \
-            ref.certifies(network, jobs, grid, path_sets, k_paths)
-
-
-# ----------------------------------------------------------------------
 # Recorded runs: every HiGHS load of golden sim 0 and serve 0
 # ----------------------------------------------------------------------
 GOLDEN = json.loads(
@@ -784,7 +651,6 @@ def _install_reference(monkeypatch):
     monkeypatch.setattr(throughput_mod, "build_stage1_lp", _ref_build_stage1_lp)
     monkeypatch.setattr(backend_mod, "solve_highs", _ref_solve_highs)
     monkeypatch.setattr(lpdar_mod, "greedy_adjust", greedy_adjust)
-    monkeypatch.setattr(engine_mod, "CarriedPlan", _RefCarriedPlan)
 
 
 def _recorded(run, monkeypatch, reference: bool) -> list[tuple]:

@@ -456,6 +456,16 @@ class TestFrontEndWiring:
         with pytest.raises(ValidationError, match="k_paths"):
             solve_ret(network, jobs, k_paths=2, engine=ModelEngine(network, 4))
 
+    def test_solve_ret_rejects_cold_request_on_warm_engine(self, network, jobs):
+        # warm_start=False asks for no memo; a warm engine would memoize.
+        warm = ModelEngine(network, 4)
+        with pytest.raises(ValidationError, match="warm_start=False"):
+            solve_ret(network, jobs, engine=warm, warm_start=False)
+        assert len(warm._solutions) == 0
+        cold = ModelEngine(network, 4, warm_start=False)
+        solve_ret(network, jobs, engine=cold, warm_start=False)
+        assert len(cold._solutions) == 0
+
     def test_stage2_solves_under_the_engine_resilience(self):
         # The engine owns the retry policy of the whole chain: a backend
         # failure on the first stage-2 solve (solve call 1; call 0 is
@@ -759,66 +769,6 @@ class TestCacheBounds:
             )
             engine.cached_solve(s, "stage1", lambda s=s: build_stage1_lp(s))
         assert len(engine._solutions) == 2
-
-
-class TestCarriedPlan:
-    def test_scheduler_carries_committed_plan(self, network, jobs):
-        engine = ModelEngine(network, k_paths=2)
-        scheduler = Scheduler(network, k_paths=2, engine=engine)
-        assert not engine.has_carried_plan
-        scheduler.schedule(jobs)
-        assert engine.has_carried_plan
-
-    def test_cold_engine_never_carries(self, network, jobs):
-        engine = ModelEngine(network, k_paths=2, warm_start=False)
-        Scheduler(network, k_paths=2, engine=engine).schedule(jobs)
-        assert not engine.has_carried_plan
-        assert not engine.certify_feasible(jobs, TimeGrid.covering(4.0), {})
-
-    def test_witness_certifies_feasible_instance(
-        self, network, jobs, telemetry
-    ):
-        engine = ModelEngine(network, k_paths=2)
-        Scheduler(network, k_paths=2, engine=engine).schedule(jobs)
-        grid = TimeGrid.covering(jobs.max_end())
-        path_sets = engine.topology.path_sets(jobs.od_pairs())
-        assert engine.certify_feasible(jobs, grid, path_sets)
-        assert telemetry.counters["ret_witness_hits"] == 1
-
-    def test_witness_declines_oversized_demand(self, network, jobs, telemetry):
-        engine = ModelEngine(network, k_paths=2)
-        Scheduler(network, k_paths=2, engine=engine).schedule(jobs)
-        grid = TimeGrid.covering(jobs.max_end())
-        path_sets = engine.topology.path_sets(jobs.od_pairs())
-        huge = JobSet([dataclasses.replace(j, size=1e6) for j in jobs])
-        assert not engine.certify_feasible(huge, grid, path_sets)
-        assert telemetry.counters["ret_witness_misses"] == 1
-
-    def test_invalidate_drops_the_plan(self, network, jobs, telemetry):
-        engine = ModelEngine(network, k_paths=2)
-        Scheduler(network, k_paths=2, engine=engine).schedule(jobs)
-        engine.invalidate_carried()
-        assert not engine.has_carried_plan
-        assert telemetry.counters["carried_invalidations"] == 1
-        engine.invalidate_carried()  # idempotent: nothing left to count
-        assert telemetry.counters["carried_invalidations"] == 1
-
-    def test_ret_skips_bounds_probe_with_witness(self, network, jobs):
-        engine = ModelEngine(network, k_paths=2)
-        Scheduler(network, k_paths=2, engine=engine).schedule(jobs)
-        cold = solve_ret(network, jobs, k_paths=2, warm_start=False)
-        with Telemetry() as telemetry:
-            warm = solve_ret(network, jobs, k_paths=2, engine=engine)
-        assert telemetry.counters["ret_witness_skips"] == 1
-        probes = telemetry.records_of("ret_probe")
-        assert probes[0]["phase"] == "bounds"
-        assert probes[0].get("witness") is True
-        # The skipped probe changes nothing about the answer.
-        assert warm.b_hat == pytest.approx(cold.b_hat)
-        assert warm.b_final == pytest.approx(cold.b_final)
-        assert np.array_equal(
-            warm.assignments.x_lpdar, cold.assignments.x_lpdar
-        )
 
 
 class TestConstructionStaysLazy:

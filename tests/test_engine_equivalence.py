@@ -151,11 +151,11 @@ def test_simulation_warm_equals_cold(seed):
 @SOLVER_SETTINGS
 @given(seed=seeds)
 def test_fault_journal_identical_warm_vs_cold(seed, tmp_path):
-    """Faults mid-run never let carried state leak into the journal.
+    """Faults mid-run never let cached state leak into the journal.
 
-    Fault epochs are where the delta layer is most dangerous: a carried
-    plan or patched structure built before an edge went down must be
-    invalidated, not silently reused.  This drives fuzz scenarios that
+    Fault epochs are where reuse is most dangerous: a cached or cloned
+    structure built before an edge went down must not be silently
+    reused after it.  This drives fuzz scenarios that
     actually carry a :class:`FaultSchedule` through the extend policy
     (the policy that re-plans hardest around outages) and demands the
     committed journal lines match a cold run byte-for-byte.

@@ -148,6 +148,12 @@ class TestJobSet:
         ext = jobs.with_extended_ends(1.0)
         assert [j.end for j in ext] == [4.0, 10.0]
 
+    def test_with_extended_ends_by_zero_is_the_set_itself(self, jobs):
+        # (1 + 0) * end == end bitwise, so there is nothing to copy.
+        assert jobs.with_extended_ends(0.0) is jobs
+        with pytest.raises(ValidationError):
+            jobs.with_extended_ends(-0.1)
+
     def test_sorted_by(self, jobs):
         by_size = jobs.sorted_by(lambda j: -j.size)
         assert [j.id for j in by_size] == ["b", "a"]

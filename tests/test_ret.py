@@ -15,6 +15,8 @@ from repro import (
     solve_subret_lp,
 )
 from repro.core.ret import build_subret_lp, quick_finish_gamma
+from repro.engine import ModelEngine
+from repro.obs import Telemetry
 
 
 class TestQuickFinishGamma:
@@ -163,3 +165,67 @@ class TestAlgorithm2:
         assert result.fraction_finished("lpdar") == 1.0
         # Job 0 needs 3 slices alone (cap 2): (1+b)*2 >= 3 -> b >= 0.5.
         assert result.b_final >= 0.5 - 1e-3
+
+
+def _two_jobs_needing_b2():
+    """18 volume at 2/slice from t=0: end 3 must stretch to 9 (b = 2)."""
+    return JobSet(
+        [
+            Job(id=0, source=0, dest=2, size=10.0, start=0.0, end=3.0),
+            Job(id=1, source=0, dest=2, size=8.0, start=0.0, end=3.0),
+        ]
+    )
+
+
+def _traced_ret(network, jobs, **kwargs):
+    """``solve_ret`` on a fresh engine, with its probes and SUB-RET solves."""
+    with Telemetry() as telemetry:
+        result = solve_ret(
+            network, jobs, engine=ModelEngine(network, 4), **kwargs
+        )
+    subret_solves = [
+        r for r in telemetry.records_of("lp_solve") if r["label"] == "subret"
+    ]
+    return result, telemetry.records_of("ret_probe"), subret_solves
+
+
+class TestDeferredBound:
+    """Algorithm 2 probes ``b = 0`` first; ``b_max`` is solved only where
+    the search ends."""
+
+    def test_feasible_at_zero_solves_one_lp(self, line3):
+        jobs = JobSet([Job(id=0, source=0, dest=2, size=4.0, start=0.0, end=4.0)])
+        result, probes, solves = _traced_ret(line3, jobs, b_max=10.0)
+        assert result.b_hat == 0.0
+        assert len(solves) == 1
+        assert [(p["phase"], p["b"]) for p in probes] == [("bounds", 0.0)]
+
+    def test_search_below_b_max_never_solves_it(self, line3):
+        result, probes, _ = _traced_ret(
+            line3, _two_jobs_needing_b2(), b_max=10.0, search_tol=1e-4
+        )
+        assert result.b_hat == pytest.approx(2.0, abs=1e-3)
+        assert probes[0]["b"] == 0.0 and not probes[0]["feasible"]
+        assert all(p["b"] != 10.0 for p in probes)
+
+    def test_search_ending_at_b_max_solves_it_last(self, line3):
+        # Every bisection probe below b = 2 is infeasible, so hi stays
+        # at b_max and its LP is the rounding point.
+        result, probes, _ = _traced_ret(
+            line3, _two_jobs_needing_b2(), b_max=2.0, search_tol=1e-3
+        )
+        assert result.b_hat == 2.0
+        assert result.fraction_finished("lpdar") == 1.0
+        bound = [p for p in probes if p["b"] == 2.0]
+        assert [(p["phase"], p["feasible"]) for p in bound] == [
+            ("bounds", True)
+        ]
+        assert not any(p["feasible"] for p in probes if p["b"] < 2.0)
+
+    def test_infeasible_at_b_max_keeps_the_message(self, line3):
+        with pytest.raises(ScheduleError) as excinfo:
+            solve_ret(line3, _two_jobs_needing_b2(), b_max=0.5)
+        assert str(excinfo.value) == (
+            "SUB-RET is infeasible even with end times extended by "
+            "(1 + 0.5); the network cannot carry this demand"
+        )

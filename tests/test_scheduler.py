@@ -237,7 +237,7 @@ def _served(seed, journal, memo_for_stage1, monkeypatch):
     from repro.verify.fuzz import make_scenario
 
     inside = []
-    cached_solve, schedule = ModelEngine.cached_solve, Scheduler._schedule
+    cached_solve, schedule = ModelEngine.cached_solve, Scheduler.schedule
 
     def bypassing(self, *args, **kwargs):
         if inside:
@@ -254,7 +254,7 @@ def _served(seed, journal, memo_for_stage1, monkeypatch):
     with monkeypatch.context() as patch:
         if not memo_for_stage1:
             patch.setattr(ModelEngine, "cached_solve", bypassing)
-            patch.setattr(Scheduler, "_schedule", in_pass)
+            patch.setattr(Scheduler, "schedule", in_pass)
         scenario = make_scenario(seed)
         service = ReservationService(
             scenario.network, journal=str(journal),

@@ -3,7 +3,9 @@
 Acceptance criterion: under a 10x burst the arrival queue stays
 bounded (no unbounded memory), the excess gets explicit
 ``Rejected(reason="overload")`` responses (never silence), and the
-token-bucket guard caps how many decisions one epoch attempts.
+token-bucket guard caps how many decisions one epoch attempts.  A
+decision deadline that expires during admission accepts only what the
+probe proved and rejects the rest with ``REASON_DEADLINE``.
 """
 
 from __future__ import annotations
@@ -13,8 +15,11 @@ import asyncio
 import pytest
 
 from repro import Job, JobSet
+from repro.errors import BudgetExceededError
+from repro.lp.solver import SolveBudget
 from repro.network import topologies
 from repro.service import (
+    REASON_DEADLINE,
     REASON_OVERLOAD,
     Accepted,
     Rejected,
@@ -149,3 +154,57 @@ def test_journal_does_not_grow_with_shed_load(net, tmp_path):
     # Header + one tick entry, regardless of the 48 sheds.
     assert len(lines) == 2
     assert service.stats.counters["shed"] == 48
+
+
+class _CountdownBudget(SolveBudget):
+    """A budget that expires at its ``allowed + 1``-th check each epoch.
+
+    Counting checks instead of seconds makes the expiry land at the
+    same solve on every host.
+    """
+
+    def __init__(self, allowed: int) -> None:
+        super().__init__(3600.0)
+        self.allowed = allowed
+        self.checks = 0
+
+    def restart(self) -> "SolveBudget":
+        self.checks = 0
+        return super().restart()
+
+    def check(self, where: str = "solve") -> None:
+        self.checks += 1
+        if self.checks > self.allowed:
+            raise BudgetExceededError(
+                f"countdown budget spent at {where!r}", where=where
+            )
+
+
+def test_deadline_during_admission_accepts_only_the_proven_prefix():
+    # One link of capacity 1 over a 4-slice window: two size-2 requests
+    # fit, four do not.  The probe solves the full batch (Z* = 0.5),
+    # proves the first two, and the budget dies before it probes three.
+    net = topologies.line(2, capacity=1, wavelength_rate=1.0)
+    service = ReservationService(
+        net, queue_limit=8, rate=8.0, burst=8.0,
+        solve_budget=_CountdownBudget(allowed=2),
+    )
+    handles = [
+        service.submit({"id": f"r{i}", "source": net.nodes[0],
+                        "dest": net.nodes[1], "size": 2.0,
+                        "start": 0.0, "end": 4.0})
+        for i in range(4)
+    ]
+    decisions = asyncio.run(service.tick())
+
+    assert sorted(str(d.request_id) for d in decisions) == [
+        "r0", "r1", "r2", "r3"
+    ]
+    assert all(h.done for h in handles)
+    assert [h.decision.kind for h in handles] == [
+        "accept", "accept", "reject", "reject"
+    ]
+    assert all(h.decision.reason == REASON_DEADLINE for h in handles[2:])
+    assert service.stats.counters["degraded_decisions"] == 2
+    assert sorted(service.book.reservations) == ["r0", "r1"]
+    service.close()
